@@ -75,9 +75,8 @@ class LintConfig:
     placement_launch_allow: tuple[str, ...] = ("repro/placement/executor.py",)
     #: Path prefixes where migration-protocol frames must carry their
     #: fencing token: any construction of a token-bearing registered
-    #: message must pass ``token=`` explicitly (SLK107), and any
-    #: chunk-ownership flip must pass ``token=`` through the fencing
-    #: check (SLK108); empty disables both rules.
+    #: message must pass ``token=`` explicitly (SLK107); empty disables
+    #: the rule.
     fencing_scope: tuple[str, ...] = ("repro/middleware/", "repro/migration/")
     #: Path prefixes (hot, tick-dominated scopes) where eager periodic
     #: timeout loops must use the coalesced timer API (SLK011); empty

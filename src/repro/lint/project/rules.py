@@ -1,4 +1,4 @@
-"""Cross-module project rules SLK101–SLK108.
+"""Cross-module project rules SLK101–SLK107.
 
 Each rule sees the whole :class:`~repro.lint.project.graph.ProjectGraph`
 rather than one file, so it can reason about reachability, registration
@@ -816,70 +816,5 @@ class FencingTokenRequired(ProjectRule):
                     "token so stale owners bounce off receivers (pass "
                     "token=..., or pragma a deliberately legacy "
                     "constructor)",
-                )
-        return self.findings
-
-
-# ---------------------------------------------------------------------------
-# SLK108: chunk-ownership flips go through the fencing-token check
-# ---------------------------------------------------------------------------
-
-#: Verbs that change which node owns a chunk of the tenant's page space.
-_CHUNK_FLIP_VERBS = frozenset({"flip_chunk", "update_chunk_location"})
-
-
-@register_project
-class ChunkFlipFenced(ProjectRule):
-    """Chunk-ownership flips must present a fencing token.
-
-    Fluid migration hands a tenant over chunk by chunk; each flip
-    changes which node serves a slice of the page space.  The
-    exactly-once-ownership invariant survives crashes and partitions
-    only because every flip is gated on the migration's fencing token —
-    a stale driver's flips bounce off the monotonic token floor.  A
-    ``.flip_chunk(...)`` or ``.update_chunk_location(...)`` call under
-    ``fencing_scope`` that omits ``token=`` rides the unfenced default
-    (token 0 always passes) and lets a deposed migration re-flip chunks
-    it no longer owns.  ``**kwargs`` spreads are trusted to carry the
-    token; deliberately unfenced callers take a line pragma.
-    """
-
-    id = "SLK108"
-    summary = "chunk-ownership flip performed without its fencing token"
-
-    def scope(
-        self, graph: ProjectGraph, config: LintConfig
-    ) -> Iterable[ModuleInfo]:
-        if not config.fencing_scope:
-            return []
-        return [
-            m
-            for m in graph.modules.values()
-            if _in_prefixes(m.rel_path, config.fencing_scope)
-        ]
-
-    def run(self, graph: ProjectGraph, config: LintConfig) -> list[Finding]:
-        for module in self.scope(graph, config):
-            for node in ast.walk(module.tree):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _CHUNK_FLIP_VERBS
-                ):
-                    continue
-                if any(
-                    kw.arg == "token" or kw.arg is None
-                    for kw in node.keywords
-                ):
-                    continue
-                self.report(
-                    module,
-                    node.lineno,
-                    node.col_offset,
-                    f"`.{node.func.attr}(...)` flips chunk ownership "
-                    "without `token=` — flips must go through the "
-                    "fencing-token check or a deposed migration can "
-                    "re-flip chunks it no longer owns (pass token=..., "
-                    "or pragma a deliberately unfenced caller)",
                 )
         return self.findings

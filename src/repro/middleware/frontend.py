@@ -171,7 +171,7 @@ class Frontend:
         return dict(entry[1])
 
     def update_chunk_location(
-        self, tenant_id: int, chunk_index: int, node: str, *, token: int = 0
+        self, tenant_id: int, chunk_index: int, node: str, *, token: int
     ) -> None:
         """Record a chunk flip and broadcast it to subscribers."""
         entry = self._chunk_maps.get(tenant_id)

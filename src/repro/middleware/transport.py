@@ -64,6 +64,14 @@ class DeliveryError(Exception):
         self.reason = reason
         self.delivered_unknown = delivered_unknown
 
+    def __reduce__(self):
+        # ``args`` holds only the formatted message, so the default
+        # reduction would call ``__init__`` with one argument.
+        return (
+            type(self),
+            (self.sender, self.recipient, self.reason, self.delivered_unknown),
+        )
+
 
 #: Sentinel returned by :meth:`MessageBus.deliver` when the message
 #: reached the recipient's inbox but the acknowledgement path back to

@@ -120,7 +120,7 @@ class ChunkMap:
     This map is the single authority on who owns each chunk; the
     ``ChunkHandover``/``ChunkOwnership`` wire frames only *announce*
     its transitions.  Ownership flips must present the migration's
-    fencing token (lint rule SLK108): a flip under a token below the
+    fencing token (a required keyword): a flip under a token below the
     highest one this map has committed is rejected and counted, the
     same monotonic-floor discipline nodes apply in ``check_fence``.
     """

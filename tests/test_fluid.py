@@ -331,6 +331,13 @@ class TestFrontendChunkDirectory:
         assert not frontend.chunked(1)
         assert frontend.chunk_owners(1) is None
 
+    def test_chunk_flip_without_token_is_a_type_error(self, env):
+        frontend = Frontend(env, MessageBus(env))
+        frontend.begin_chunked(1, 4, "node-a")
+        with pytest.raises(TypeError, match="token"):
+            frontend.update_chunk_location(1, 2, "node-b")
+        assert frontend.lookup_chunk(1, 2) == "node-a"
+
     def test_chunk_flips_broadcast_with_token(self, env):
         bus = MessageBus(env)
         frontend = Frontend(env, bus)

@@ -1,4 +1,4 @@
-"""Project rules SLK101-SLK108, the runner, cache, SARIF, and CLI.
+"""Project rules SLK101-SLK107, the runner, cache, SARIF, and CLI.
 
 Each rule gets a minimal fixture tree that satisfies the invariant and
 a deliberately broken variant that must be caught — the gate is only
@@ -883,109 +883,6 @@ class TestSLK107FencingTokenRequired:
         """Every shipped migration-scope frame already carries token=."""
         result = analyze_project([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
         unfenced = [f for f in result.findings if f.rule == "SLK107"]
-        assert unfenced == []
-
-
-class TestSLK108ChunkFlipFenced:
-    def test_tokenless_flip_is_flagged(self, tmp_path):
-        findings = project_findings(
-            tmp_path,
-            {
-                "repro/__init__.py": "",
-                "repro/migration/__init__.py": "",
-                "repro/migration/fluid.py": """
-                def rollback(chunk_map, chunk):
-                    return chunk_map.flip_chunk(chunk, "source")
-                """,
-            },
-            rule="SLK108",
-        )
-        assert len(findings) == 1
-        assert "flip_chunk" in findings[0].message
-        assert "fencing" in findings[0].message
-
-    def test_tokenless_location_update_is_flagged(self, tmp_path):
-        findings = project_findings(
-            tmp_path,
-            {
-                "repro/__init__.py": "",
-                "repro/middleware/__init__.py": "",
-                "repro/middleware/node.py": """
-                def notify(frontend, tenant_id, chunk, target):
-                    frontend.update_chunk_location(tenant_id, chunk, target)
-                """,
-            },
-            rule="SLK108",
-        )
-        assert len(findings) == 1
-        assert "update_chunk_location" in findings[0].message
-
-    def test_token_kwarg_satisfies_the_rule(self, tmp_path):
-        findings = project_findings(
-            tmp_path,
-            {
-                "repro/__init__.py": "",
-                "repro/migration/__init__.py": "",
-                "repro/migration/fluid.py": """
-                def flip(chunk_map, chunk, token):
-                    return chunk_map.flip_chunk(chunk, "target", token=token)
-                """,
-            },
-            rule="SLK108",
-        )
-        assert findings == []
-
-    def test_kwargs_spread_is_trusted(self, tmp_path):
-        findings = project_findings(
-            tmp_path,
-            {
-                "repro/__init__.py": "",
-                "repro/migration/__init__.py": "",
-                "repro/migration/fluid.py": """
-                def replay(chunk_map, chunk, fields):
-                    return chunk_map.flip_chunk(chunk, "target", **fields)
-                """,
-            },
-            rule="SLK108",
-        )
-        assert findings == []
-
-    def test_outside_fencing_scope_is_exempt(self, tmp_path):
-        findings = project_findings(
-            tmp_path,
-            {
-                "repro/__init__.py": "",
-                "repro/experiments/__init__.py": "",
-                "repro/experiments/driver.py": """
-                def probe(chunk_map, chunk):
-                    return chunk_map.flip_chunk(chunk, "target")
-                """,
-            },
-            rule="SLK108",
-        )
-        assert findings == []
-
-    def test_pragma_allows_unfenced_caller(self, tmp_path):
-        findings = project_findings(
-            tmp_path,
-            {
-                "repro/__init__.py": "",
-                "repro/migration/__init__.py": "",
-                "repro/migration/fluid.py": (
-                    "def seed(chunk_map, chunk):\n"
-                    "    return chunk_map.flip_chunk(  # slackerlint: disable=SLK108\n"
-                    "        chunk, 'source'\n"
-                    "    )\n"
-                ),
-            },
-            rule="SLK108",
-        )
-        assert findings == []
-
-    def test_real_migration_tree_is_clean(self):
-        """Every shipped chunk flip already goes through the fence."""
-        result = analyze_project([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
-        unfenced = [f for f in result.findings if f.rule == "SLK108"]
         assert unfenced == []
 
 
