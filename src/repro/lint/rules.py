@@ -683,9 +683,9 @@ class EagerPeriodicLoopRule(Rule):
     tick does anything — the pattern that made heartbeats, failure
     detectors, and token refills dominate fleet-scale event counts.
     Within ``periodic_scope`` such loops must go through
-    :class:`repro.simulation.timers.PeriodicTicker` (whose chained
-    tick clock keeps timestamps bit-identical while letting the
-    process skip no-op ticks).
+    :class:`repro.simulation.timers.PeriodicTicker` (whose integer
+    tick grid ``t0 + n * interval`` lets the process skip no-op ticks
+    in O(1) and wake on exact grid timestamps).
 
     Intervals computed fresh each iteration — RNG draws like
     ``timeout(rng.expovariate(...))``, or a name reassigned inside the
@@ -694,8 +694,9 @@ class EagerPeriodicLoopRule(Rule):
     can keep the ticker trivially (``yield ticker.tick()`` each pass),
     so the rule still points it at the API; suppress with
     ``# slackerlint: disable=SLK011`` where the eager form is load-
-    bearing (e.g. the throttle's own ``coalesce=False`` reference
-    path).
+    bearing: loops whose interval runs from the *completion* of work
+    that consumes simulated time (heartbeat sends, lease renewals,
+    ``PlacementManager.run``) are not on a tick grid at all.
     """
 
     id = "SLK011"
@@ -719,9 +720,8 @@ class EagerPeriodicLoopRule(Rule):
                     stmt,
                     "periodic `yield <env>.timeout(<interval>)` loop — one "
                     "kernel event per tick; drive it with "
-                    "simulation.timers.PeriodicTicker (tick()/skip()) so "
-                    "no-op ticks coalesce while timestamps stay "
-                    "bit-identical",
+                    "simulation.timers.PeriodicTicker (tick()/skip_until()) "
+                    "so no-op ticks coalesce into zero events",
                 )
         self.generic_visit(node)
 

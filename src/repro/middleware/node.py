@@ -758,17 +758,17 @@ class SlackerNode:
         # simulated time (network latency, fault delays), so each wake
         # drifts by however long the sends took and the eager timeout
         # is the correct form.  Crash windows ARE periodic — a dead
-        # node sends nothing, so its wakes chain exactly from the wake
-        # that found it dead — and there the loop parks on the restart
-        # signal and rejoins that chain via PeriodicTicker instead of
-        # waking every interval only to `continue`.
+        # node sends nothing, so its wakes fall on a grid anchored at
+        # the wake that found it dead — and there the loop parks on the
+        # restart signal and rejoins that grid via PeriodicTicker
+        # instead of waking every interval only to `continue`.
         env = self.env
         interval = self._heartbeat_interval
         while True:
             yield env.timeout(interval)  # slackerlint: disable=SLK011
             while not self.alive:
-                # Anchored at this wake: next_time is exactly where the
-                # eager loop's next (no-op) wake would have landed.
+                # Anchored at this wake: tick n is the n-th interval
+                # after it, where the eager loop's no-op wakes would be.
                 ticker = PeriodicTicker(env, interval)
                 yield self._parked_until_restart()
                 # Beats that fell inside the crash window never happen;
@@ -826,8 +826,8 @@ class SlackerNode:
         # only push deadlines later, so sleeping straight to that tick
         # and rescanning is exact.  Two situations force per-tick
         # polling semantics back on: declared-dead peers (a recovery
-        # must be noticed at the very next grid tick) and the scan
-        # itself, which always runs with the eager loop's comparisons.
+        # must be noticed at the very next grid tick) and suspected
+        # peers (the grace deadline is checked on every tick).
         ticker = PeriodicTicker(self.env, interval)
         while True:
             if (
@@ -836,20 +836,15 @@ class SlackerNode:
                 and not self.dead_peers
                 and not self.suspected_peers
             ):
-                # Earliest tick at which the quietest peer's silence
-                # could exceed the horizon, probed with the scan's own
-                # float predicate (t - last > horizon) tick by tick so
-                # no algebraic rearrangement can shift the wake tick.
+                # Sleep to the first tick past the quietest peer's
+                # silence horizon.  The scan below keeps its own
+                # `t - last > horizon` predicate, which rounding can
+                # put one tick either side of this wake: an early wake
+                # finds nobody silent and sleeps again.
                 quietest = min(
                     self._peer_last_seen.get(peer, 0.0) for peer in peer_names
                 )
-                ticks = 1
-                t = ticker.next_time
-                while not (t - quietest > horizon):
-                    t += interval
-                    ticks += 1
-                if ticks > 1:
-                    ticker.skip(ticks - 1)
+                ticker.skip_until(quietest + horizon, inclusive=True)
             yield ticker.tick()
             if not self.alive:
                 yield self._parked_until_restart()
@@ -901,6 +896,17 @@ class SlackerNode:
         try:
             yield proc
         except DeliveryError:
+            self.stats.notify_failures += 1
+        finally:
+            if proc.is_alive:
+                # The caller was interrupted mid-send: nobody waits on
+                # the child any more, so its failure is absorbed here
+                # instead of escaping `env.run` as a crash.
+                proc.callbacks.append(self._absorb_orphaned_send)
+
+    def _absorb_orphaned_send(self, proc: Event) -> None:
+        if not proc.ok and isinstance(proc.value, DeliveryError):
+            proc.defused()
             self.stats.notify_failures += 1
 
     def _dispatch_loop(self):

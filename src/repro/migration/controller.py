@@ -162,7 +162,7 @@ class DynamicThrottleController:
         """
         # Every step does real control work (PID update + set_rate), so
         # no tick can be elided; the ticker keeps the control grid on
-        # the coalesced-timer API with exact chained timestamps.
+        # the coalesced-timer API at exact grid timestamps.
         ticker = PeriodicTicker(self.env, self.config.timestep)
         try:
             while not self._stopped and not (until is not None and until.triggered):

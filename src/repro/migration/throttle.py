@@ -15,20 +15,19 @@ database to recover", Section 5.4).
 
 Refill ticks are **coalesced**: instead of a kernel event every tick
 (20/sec at the default 0.05 s tick, granted or not), the throttle
-settles elapsed ticks analytically on every interaction and schedules
-a real wakeup only at the tick where the oldest blocked request can
-actually be granted.  A paused (rate 0) or idle throttle costs zero
-kernel events.  The settlement replays the *exact* per-tick float
-arithmetic of the eager loop — chained tick timestamps via
-:class:`~repro.simulation.timers.PeriodicTicker` and per-tick
-``min(capacity, level + rate * tick)`` deposits — so grant times,
-amounts, and stats are identical to the eager loop's; the eager loop
-is kept (``coalesce=False``) as the reference implementation for the
-equivalence tests in ``tests/test_coalesced_timers.py``.
+settles elapsed ticks in closed form on every interaction and
+schedules a real wakeup only at the tick where the oldest blocked
+request can be granted.  Ticks sit on the integer grid of a
+:class:`~repro.simulation.timers.PeriodicTicker`; settling ``k`` ticks
+deposits ``k * rate * tick`` bytes in one ``put``, clamped to the
+bucket depth.  A paused (rate 0) or idle throttle costs zero kernel
+events, and a crawling one costs one event per grant however many
+ticks separate them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Generator, Optional
 
@@ -64,7 +63,6 @@ class Throttle:
         rate: float,
         bucket_bytes: float = DEFAULT_BUCKET_BYTES,
         tick: float = DEFAULT_TICK,
-        coalesce: bool = True,
     ):
         if rate < 0:
             raise ValueError(f"rate must be >= 0, got {rate}")
@@ -80,17 +78,13 @@ class Throttle:
         self._start_time = env.now
         self._bucket = Container(env, capacity=bucket_bytes, init=0.0)
         self._running = True
-        self._coalesce = coalesce
-        if coalesce:
-            #: Conceptual tick clock; ``next_time`` is the first
-            #: *unsettled* tick.  Ticks strictly before ``env.now`` are
-            #: always settled before any state is read or changed.
-            self._ticker = PeriodicTicker(env, tick)
-            #: Service process, alive only while requests are blocked
-            #: and the rate is positive (see :meth:`_service_loop`).
-            self._service = None
-        else:
-            env.process(self._refill_loop())
+        #: Refill tick clock; ``next_time`` is the first *unsettled*
+        #: tick.  Ticks strictly before ``env.now`` are always settled
+        #: before any state is read or changed.
+        self._ticker = PeriodicTicker(env, tick)
+        #: Service process, alive only while requests are blocked and
+        #: the rate is positive (see :meth:`_service_loop`).
+        self._service = None
 
     @property
     def rate(self) -> float:
@@ -100,27 +94,25 @@ class Throttle:
     @property
     def level(self) -> float:
         """Unused credit currently in the bucket, bytes."""
-        if self._coalesce:
-            self._settle(inclusive=True)
+        self._settle(inclusive=True)
         return self._bucket.level
 
     def set_rate(self, rate: float) -> None:
         """Change the rate on the fly (0 pauses the stream)."""
         if rate < 0:
             raise ValueError(f"rate must be >= 0, got {rate}")
-        if self._coalesce and self._running:
-            # Ticks strictly before now accrued at the old rate; a tick
-            # at exactly `now` uses the new rate (rate setters — the
-            # PID controller, migration startup — run ahead of the tick
-            # in event order because their timeouts are scheduled
-            # further in advance, hence with earlier sequence numbers).
-            self._settle(inclusive=False)
+        # Ticks strictly before now accrued at the old rate; a tick at
+        # exactly `now` uses the new rate (rate setters — the PID
+        # controller, migration startup — run ahead of the tick in
+        # event order because their timeouts are scheduled further in
+        # advance, hence with earlier sequence numbers).
+        self._settle(inclusive=False)
         self._account_rate_time()
         changed = rate != self._rate
         if changed:
             self.stats.rate_changes += 1
         self._rate = float(rate)
-        if self._coalesce and self._running and changed:
+        if self._running and changed:
             self._reschedule_service()
 
     def average_rate(self) -> float:
@@ -142,26 +134,22 @@ class Throttle:
         remaining = float(nbytes)
         while remaining > 0:
             piece = min(remaining, self._bucket.capacity)
-            if self._coalesce:
-                self._settle(inclusive=True)
-                get_event = self._bucket.get(piece)
-                if get_event.callbacks is not None and not self._service_alive():
-                    # Blocked with no wakeup pending: start the service
-                    # process.  (If it is already alive this request
-                    # queued behind the head, whose wakeup is
-                    # unchanged — FIFO serve order.)
-                    self._reschedule_service()
-                yield get_event
-            else:
-                yield self._bucket.get(piece)
+            self._settle(inclusive=True)
+            get_event = self._bucket.get(piece)
+            if get_event.callbacks is not None and not self._service_alive():
+                # Blocked with no wakeup pending: start the service
+                # process.  (If it is already alive this request queued
+                # behind the head, whose wakeup is unchanged — FIFO
+                # serve order.)
+                self._reschedule_service()
+            yield get_event
             remaining -= piece
         self.stats.bytes_granted += int(nbytes)
         self.stats.grants += 1
 
     def stop(self) -> None:
-        """Shut down the refill process (end of migration)."""
-        if self._coalesce and self._running:
-            self._settle(inclusive=False)
+        """Stop refilling (end of migration)."""
+        self._settle(inclusive=False)
         self._account_rate_time()
         self._running = False
 
@@ -172,44 +160,21 @@ class Throttle:
         self.stats.rate_seconds += self._rate * (now - self._rate_since)
         self._rate_since = now
 
-    def _refill_loop(self):
-        # Eager reference path (coalesce=False): one event per tick.
-        # This loop IS the behaviour the coalesced path must reproduce
-        # bit-for-bit, so it deliberately stays on the raw timeout API.
-        while self._running:
-            yield self.env.timeout(self.tick)  # slackerlint: disable=SLK011
-            if self._running and self._rate > 0:
-                self._bucket.put(self._rate * self.tick)
-
-    # -- coalesced path ----------------------------------------------------
-
     def _settle(self, inclusive: bool) -> None:
-        """Apply every refill tick due by ``env.now``.
+        """Apply every refill tick due by ``env.now`` in one deposit.
 
-        Replays the eager loop's exact per-tick action — ``put`` with
-        the chained-addition deposit, clamp, and FIFO serve — at one
-        conceptual tick per iteration.  ``inclusive`` controls whether
-        a tick falling exactly on ``env.now`` is applied (reads and
-        acquires) or left for after the caller's update (rate changes).
-        The rate is constant across the settled span because every
-        rate change settles first.
+        ``inclusive`` controls whether a tick falling exactly on
+        ``env.now`` is applied (reads and acquires) or left for after
+        the caller's update (rate changes).  The rate is constant
+        across the settled span because every rate change settles
+        first; ``put`` clamps the deposit to the bucket depth and
+        serves waiting requests in FIFO order.
         """
         if not self._running:
             return
-        now = self.env.now
-        ticker = self._ticker
-        rate = self._rate
-        bucket = self._bucket
-        if rate <= 0 or bucket._level >= bucket.capacity:
-            # Paused or saturated: every due tick is a no-op (a waiting
-            # request always wants more than the current level, so a
-            # full bucket cannot have a grantable head).  Bulk-skip.
-            ticker.skip_until(now, inclusive)
-            return
-        deposit = rate * self.tick
-        while (ticker.next_time < now) or (inclusive and ticker.next_time == now):
-            ticker.skip(1)
-            bucket.put(deposit)
+        ticks = self._ticker.skip_until(self.env.now, inclusive)
+        if ticks and self._rate > 0:
+            self._bucket.put(ticks * (self._rate * self.tick))
 
     def _service_alive(self) -> bool:
         return self._service is not None and self._service.is_alive
@@ -224,32 +189,30 @@ class Throttle:
             self._service = self.env.process(self._service_loop())
 
     def _ticks_until_grant(self) -> int:
-        """Ticks (>= 1) until the queue head's request can be served.
+        """Ticks (>= 1) until the queue head's request can be served,
+        or 0 if the deposit is too small to ever serve it.
 
-        Walks the same chained float arithmetic the settlement will
-        perform, so the predicted tick is exact.
+        The quotient can round across an integer, so the tick before
+        the estimate is checked with the deposit :meth:`_settle` will
+        make; a miss the other way wakes the service loop one tick
+        early, and it settles, finds the head still blocked and
+        predicts again.
         """
-        amount = self._bucket._getters[0][1]
-        level = self._bucket._level
-        capacity = self._bucket.capacity
         deposit = self._rate * self.tick
-        ticks = 0
-        while True:
-            ticks += 1
-            before = level
-            level = min(capacity, level + deposit)
-            if level >= amount:
-                return ticks
-            if level == before:
-                # Deposit vanished in float rounding: the eager loop
-                # would tick forever without ever granting.  Report "no
-                # grant tick"; the service loop parks until a rate
-                # change makes progress possible again.
-                return 0
+        if deposit <= 0:
+            return 0
+        amount, level = self._bucket._getters[0][1], self._bucket._level
+        estimate = (amount - level) / deposit
+        if not math.isfinite(estimate):
+            return 0
+        ticks = max(1, math.ceil(estimate))
+        if ticks > 1 and level + (ticks - 1) * deposit >= amount:
+            ticks -= 1
+        return ticks
 
     def _service_loop(self):
         """Wake exactly at ticks where the oldest blocked request is
-        granted; all other ticks settle analytically."""
+        granted; all other ticks settle in closed form."""
         env = self.env
         while self._running and self._rate > 0 and self._bucket._getters:
             ticks = self._ticks_until_grant()

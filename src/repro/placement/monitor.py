@@ -158,7 +158,7 @@ class LoadMonitor:
 
         Every tick does real work (the snapshot), so there is nothing
         to elide; the ticker keeps the sample grid on the kernel's
-        coalesced-timer API with exact chained-addition timestamps.
+        coalesced-timer API at exact ``t0 + n * interval`` timestamps.
         """
         ticker = PeriodicTicker(self.cluster.env, self.interval)
         while True:

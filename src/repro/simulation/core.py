@@ -434,7 +434,7 @@ class Environment:
 
         Lazy periodic consumers (:class:`~repro.simulation.timers.
         PeriodicTicker` skips, the throttle's settle-on-interaction
-        replay) report every conceptual tick they advanced past without
+        deposits) report every conceptual tick they advanced past without
         putting an event on the queue.  ``processed_events +
         elided_events`` is therefore what the same trajectory would
         have cost with one event per tick — the denominator for the
@@ -479,8 +479,8 @@ class Environment:
         ``when`` — no float drift from the subtract-then-add round
         trip.  This is the primitive the coalesced periodic-timer API
         (:class:`~repro.simulation.timers.PeriodicTicker`) builds on:
-        skipping k ticks in one event must land on the identical float
-        timestamp the k chained ``timeout(interval)`` calls would have.
+        a wakeup k ticks ahead lands on exactly the grid float
+        ``t0 + n * interval``.
         """
         if when < self._now:
             raise ValueError(f"when={when} is in the past (now={self._now})")

@@ -13,28 +13,27 @@ interval whether or not there is anything to do.  This module provides
 periodic processes that skip ahead to the next tick at which something
 can actually happen, firing one event where the eager loop fired k.
 
-The hard requirement is **bit-identity**: a coalesced process must
-observe exactly the float timestamps the eager loop would have.  An
-eager loop accumulates time by repeated addition — tick n happens at
-``(((t0 + i) + i) + ...)``, n chained float adds — which is *not* the
-same float as ``t0 + n * i``.  :class:`PeriodicTicker` therefore keeps
-the chained-addition clock itself (``_time += interval`` per conceptual
-tick, even when ticks are skipped in bulk) and schedules wakeups with
-:meth:`Environment.timeout_at` so the event lands on exactly that
-chained sum rather than re-deriving it from ``now``.
+Tick ``n`` of a ticker anchored at ``t0`` fires at exactly
+``t0 + n * interval``: the clock is an integer tick index, never a
+chained float sum, so skipping any number of ticks, peeking ahead, and
+finding the first tick past a deadline are all O(1) and agree with
+each other to the bit.  Wakeups are scheduled with
+:meth:`Environment.timeout_at`, so an event lands on the grid float
+itself rather than on ``now + (when - now)``.
 
 Ported call sites (``middleware/node.py``, ``migration/throttle.py``,
-``placement/monitor.py``, ``obs/runtime.py``) each pair the ticker with
-an analytic settlement rule proving the skipped ticks were no-ops; the
-equivalence tests in ``tests/test_coalesced_timers.py`` replay eager
-vs. lazy variants and assert identical trajectories.  The slackerlint
-rule SLK011 points hand-rolled periodic loops in hot scopes here.
+``migration/controller.py``, ``placement/monitor.py``,
+``obs/runtime.py``) each pair the ticker with a settlement rule for
+the ticks they skip; ``tests/test_coalesced_timers.py`` checks the
+ticker against a brute-force scan of the grid and the throttle against
+the analytic token-bucket schedule.  The slackerlint rule SLK011
+points hand-rolled periodic loops in hot scopes here.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .core import Environment, Timeout
@@ -43,84 +42,70 @@ __all__ = ["PeriodicTicker"]
 
 
 class PeriodicTicker:
-    """A tick clock that reproduces an eager ``timeout(interval)`` loop.
+    """A tick clock on the grid ``t0 + n * interval``.
 
-    The ticker tracks the timestamp of the *next* conceptual tick using
-    the same chained float addition an eager loop performs, so any
-    subsequence of ticks a lazy process chooses to wake at carries
-    timestamps bit-identical to the eager loop's.
+    ``t0`` is the simulated time at construction and ``n`` the integer
+    index of the next tick (the first tick fires one interval after
+    construction, like an eager loop entered then).
 
     Usage pattern for a lazy periodic process::
 
         ticker = PeriodicTicker(env, interval)
         while running:
-            k = ...            # ticks until the next relevant wakeup
-            if k > 1:
-                ticker.skip(k - 1)
-            yield ticker.tick()  # fires at the k-th tick's exact time
-            ...                  # settle the k-1 skipped no-op ticks
+            ticker.skip_until(deadline)  # no-op ticks before deadline
+            yield ticker.tick()          # first tick at/after deadline
+            ...                          # settle the skipped ticks
 
     ``interval`` is fixed at construction; loops whose period changes
     mid-run (RNG-drawn dwell times, adaptive backoff) are out of scope
     and should stay eager.
     """
 
-    __slots__ = ("env", "interval", "_time")
+    __slots__ = ("env", "interval", "_t0", "_n")
 
     def __init__(self, env: "Environment", interval: float):
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
         self.env = env
         self.interval = interval
-        # Timestamp of the next tick: first tick fires one interval
-        # after construction, matching an eager loop entered now.
-        self._time = env.now + interval
+        self._t0 = env.now
+        self._n = 1
 
     @property
     def next_time(self) -> float:
         """Timestamp of the next tick (the one :meth:`tick` waits for)."""
-        return self._time
+        return self._t0 + self._n * self.interval
 
     def tick(self) -> "Timeout":
         """Event for the next tick; advances the clock by one tick."""
-        when = self._time
-        self._time = when + self.interval
+        when = self._t0 + self._n * self.interval
+        self._n += 1
         return self.env.timeout_at(when)
 
-    def skip(self, ticks: int) -> float:
-        """Advance past ``ticks`` ticks without scheduling events.
-
-        Each skipped tick advances the clock by one chained float
-        addition — the same arithmetic the eager loop's ``timeout``
-        chain performs — so the tick after a skip lands on the eager
-        timestamp.  Returns the new next-tick time.
-        """
-        if ticks < 0:
-            raise ValueError(f"cannot skip {ticks} ticks")
-        time = self._time
-        interval = self.interval
-        for _ in range(ticks):
-            time += interval
-        self._time = time
-        self.env.note_elided(ticks)
-        return time
-
     def skip_until(self, limit: float, inclusive: bool = False) -> int:
-        """Skip every tick strictly before ``limit`` in one call.
+        """Skip every tick strictly before ``limit`` without events.
 
         With ``inclusive`` a tick falling exactly on ``limit`` is
-        consumed too.  Returns the number of ticks skipped.  Same exact
-        chained arithmetic as repeated :meth:`skip`, without the
-        per-tick call overhead — the fast path for settling long no-op
-        spans (paused throttles, saturated buckets).
+        consumed too.  Returns the number of ticks skipped, which are
+        counted in ``env.elided_events``.
         """
-        time = self._time
-        interval = self.interval
-        skipped = 0
-        while time < limit or (inclusive and time == limit):
-            time += interval
-            skipped += 1
-        self._time = time
+        if not math.isfinite(limit):
+            raise ValueError(f"limit must be finite, got {limit}")
+        t0, interval, n = self._t0, self.interval, self._n
+
+        def due(index: int) -> bool:
+            time = t0 + index * interval
+            return time < limit or (inclusive and time == limit)
+
+        # First index whose tick is not due; the quotient can round
+        # across an integer, so check the estimate and its neighbour.
+        first = max(n, math.ceil((limit - t0) / interval))
+        if due(first):
+            first += 1
+        elif first > n and not due(first - 1):
+            first -= 1
+        skipped = first - n
+        self._n = first
         self.env.note_elided(skipped)
         return skipped
 
@@ -128,45 +113,4 @@ class PeriodicTicker:
         """Timestamp ``ticks`` ticks ahead of the next one (no mutation)."""
         if ticks < 0:
             raise ValueError(f"cannot peek {ticks} ticks back")
-        time = self._time
-        interval = self.interval
-        for _ in range(ticks):
-            time += interval
-        return time
-
-    def ticks_until(self, deadline: float) -> int:
-        """Number of ticks from the next one through the first tick
-        at or after ``deadline`` (minimum 1).
-
-        Walks the exact chained-addition timeline (no division), so the
-        answer is right even when ``deadline`` falls within a float ulp
-        of a tick boundary.  O(k) float adds — the same arithmetic a
-        subsequent ``skip`` performs, and far cheaper than the k kernel
-        events being elided.
-        """
-        if not math.isfinite(deadline):
-            raise ValueError(f"deadline must be finite, got {deadline}")
-        time = self._time
-        interval = self.interval
-        ticks = 1
-        while time < deadline:
-            time += interval
-            ticks += 1
-        return ticks
-
-
-def _selftest() -> None:  # pragma: no cover - dev aid
-    """Quick invariant check: skip(k) == k tick() calls, timewise."""
-    from .core import Environment
-
-    env = Environment()
-    a = PeriodicTicker(env, 0.05)
-    b = PeriodicTicker(env, 0.05)
-    for _ in range(1000):
-        a.tick()
-    b.skip(1000)
-    assert a.next_time == b.next_time
-
-
-if __name__ == "__main__":  # pragma: no cover
-    _selftest()
+        return self._t0 + (self._n + ticks) * self.interval

@@ -3,7 +3,8 @@
 These tests once replayed identical schedules through a calendar-queue
 kernel and the binary heap and demanded identical results.  The heap is
 now the only kernel (see ``docs/PERF.md``), so every comparison is
-against literals recorded while both kernels still agreed:
+against literals (the three experiment fingerprints were re-pinned
+when periodic ticks moved to the integer grid ``t0 + n * interval``):
 
 * kernel-level ordering on synthetic schedules — heavy time collisions,
   same-time events scheduled while that time is being processed
@@ -170,7 +171,7 @@ class TestABExperimentReplay:
         )
         assert record.mean_latency > 0
         assert _point_fingerprint(record) == (
-            "1d2e6a18a8d58e4fa85a5caacff84e7b0ec8113a516553034595af67731d1c81"
+            "9d3e94a78aa6e9f6ba8958350448ccda4e04e65c2fca4966d15bfb67d32acd30"
         )
 
     def test_chaos_fault_injection_point(self):
@@ -184,7 +185,7 @@ class TestABExperimentReplay:
             run_limit=120.0,
         )
         assert record.fingerprint == (
-            "ce99d7e8c047f03679ac29f8768e4ba5f11f9e90dcc33b483f1a7663e0998ba2"
+            "a42b4451e09203c507320a6398ed7cf7ec113e2e9f7ee16532516a5634622e00"
         )
 
     def test_fleet_drain_point(self):
@@ -201,5 +202,5 @@ class TestABExperimentReplay:
         )
         assert record.ok
         assert record.fingerprint == (
-            "3b53b1361fec89b58e8f91ac4dc0161eec258c797d22b78dd89a980d9d392146"
+            "22d2a5e44fecd172da312345590d14d4e5eab8de38859d61e5a48a50fc1c8bd0"
         )

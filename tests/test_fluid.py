@@ -490,6 +490,25 @@ class TestFluidChaos:
         assert record.ok, record.violations
         assert record.outcome in ("completed", "aborted")
 
+    def test_source_isolated_mid_flip_aborts_without_crashing(self):
+        # The lease abort interrupts the source while it waits on a
+        # flip notification send; the orphaned send's later delivery
+        # failure used to escape env.run as a DeliveryError.
+        record = fuzz_point(
+            scaled_config(CASE_STUDY, 0.0625, 42),
+            partitions=(
+                {
+                    "at": 12.0,
+                    "duration": 4.0,
+                    "kind": "split",
+                    "groups": (("source",), ("target", "controller")),
+                },
+            ),
+            fluid_chunks=8,
+        )
+        assert record.ok, record.violations
+        assert record.outcome == "aborted"
+
     @settings(max_examples=10, deadline=None)
     @given(st.lists(_partition(), min_size=1, max_size=3))
     def test_no_partition_interleaving_breaks_chunk_ownership(self, partitions):
