@@ -72,6 +72,8 @@ class BufferPool:
         self.stats = BufferPoolStats()
         #: page id -> dirty flag; insertion order is LRU order (oldest first).
         self._pages: OrderedDict[int, bool] = OrderedDict()
+        #: Resident dirty pages, kept in step with every flag change.
+        self._dirty = 0
 
     def __len__(self) -> int:
         return len(self._pages)
@@ -82,7 +84,7 @@ class BufferPool:
     @property
     def dirty_count(self) -> int:
         """Number of resident dirty pages."""
-        return sum(1 for dirty in self._pages.values() if dirty)
+        return self._dirty
 
     def is_dirty(self, page_id: int) -> bool:
         """True if ``page_id`` is resident and dirty."""
@@ -96,21 +98,27 @@ class BufferPool:
         if that victim is dirty, the caller must write it back before
         reading the missed page.
         """
-        if page_id in self._pages:
+        pages = self._pages
+        if page_id in pages:
             self.stats.hits += 1
-            dirty = self._pages.pop(page_id) or write
-            self._pages[page_id] = dirty
+            pages.move_to_end(page_id)
+            if write and not pages[page_id]:
+                pages[page_id] = True
+                self._dirty += 1
             return AccessResult(hit=True, read_page=None, writeback_page=None)
 
         self.stats.misses += 1
         writeback: Optional[int] = None
-        if len(self._pages) >= self.capacity_pages:
-            victim, victim_dirty = self._pages.popitem(last=False)
+        if len(pages) >= self.capacity_pages:
+            victim, victim_dirty = pages.popitem(last=False)
             self.stats.evictions += 1
             if victim_dirty:
                 self.stats.dirty_evictions += 1
+                self._dirty -= 1
                 writeback = victim
-        self._pages[page_id] = write
+        pages[page_id] = write
+        if write:
+            self._dirty += 1
         return AccessResult(hit=False, read_page=page_id, writeback_page=writeback)
 
     def flush_page(self, page_id: int) -> bool:
@@ -119,8 +127,9 @@ class BufferPool:
         Used by the background flusher and by hot backup's checkpoint.
         """
         if self._pages.get(page_id):
-            self._pages.pop(page_id)
             self._pages[page_id] = False
+            self._pages.move_to_end(page_id)
+            self._dirty -= 1
             self.stats.flushes += 1
             return True
         return False

@@ -14,6 +14,7 @@ event-for-event identical to the pre-fault-injection transport.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -24,7 +25,7 @@ from .frontend import Frontend
 from .node import NodeConfig, SlackerNode
 from .transport import MessageBus, RetryPolicy
 
-__all__ = ["FleetSpec", "SlackerCluster"]
+__all__ = ["FleetSpec", "PeerDirectory", "SlackerCluster"]
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,37 @@ class FleetSpec:
             f"{self.node_prefix}-{index:0{width}d}"
             for index in range(self.nodes)
         ]
+
+
+class PeerDirectory(Mapping):
+    """One node's read-only view of every other node in the cluster.
+
+    All views share the cluster's ``nodes`` dict, so the directories
+    cost O(nodes) in total instead of one O(nodes) dict per node.
+    Iteration follows the cluster's node order with the owner skipped,
+    which is the order heartbeats and broadcasts go out in.
+    """
+
+    __slots__ = ("_nodes", "_owner")
+
+    def __init__(self, nodes: Mapping[str, SlackerNode], owner: str):
+        self._nodes = nodes
+        self._owner = owner
+
+    def __getitem__(self, name: str) -> SlackerNode:
+        if name == self._owner:
+            raise KeyError(name)
+        return self._nodes[name]
+
+    def __contains__(self, name: object) -> bool:
+        return name != self._owner and name in self._nodes
+
+    def __iter__(self) -> Iterator[str]:
+        owner = self._owner
+        return (name for name in self._nodes if name != owner)
+
+    def __len__(self) -> int:
+        return len(self._nodes) - (self._owner in self._nodes)
 
 
 class SlackerCluster:
@@ -126,8 +158,8 @@ class SlackerCluster:
             )
             for name, server in self.servers.items()
         }
-        for node in self.nodes.values():
-            node.peers = {n: p for n, p in self.nodes.items() if p is not node}
+        for name, node in self.nodes.items():
+            node.peers = PeerDirectory(self.nodes, name)
         #: Migration ownership leases (see repro.migration.lease), only
         #: when ``lease_ttl`` is set; ``None`` keeps every node on the
         #: unfenced token-0 path, event-for-event identical to a

@@ -95,11 +95,13 @@ class Frontend:
         self._locations[tenant_id] = location
         version = self._versions.get(tenant_id, 0) + 1
         self._versions[tenant_id] = version
-        update = TenantLocationUpdate(
-            tenant_id=tenant_id, node=node, port=location.port, version=version
-        )
-        for subscriber in sorted(self._subscribers.get(tenant_id, ())):
-            self.env.process(self._publish(subscriber, tenant_id, version, update))
+        subscribers = self._subscribers.get(tenant_id)
+        if subscribers:
+            update = TenantLocationUpdate(
+                tenant_id=tenant_id, node=node, port=location.port, version=version
+            )
+            for subscriber in sorted(subscribers):
+                self.env.process(self._publish(subscriber, tenant_id, version, update))
         return location
 
     def _publish(self, subscriber: str, tenant_id: int, version: int, message):

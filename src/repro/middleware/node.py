@@ -39,6 +39,7 @@ The control plane is hardened against an unreliable bus (see
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -178,7 +179,7 @@ class SlackerNode:
         #: False while the middleware daemon is crashed (fail-stop).
         self.alive = True
         #: Peer directory, set by the cluster after all nodes exist.
-        self.peers: dict[str, SlackerNode] = {}
+        self.peers: Mapping[str, SlackerNode] = {}
         #: Peers this node's failure detector currently considers dead.
         self.dead_peers: set[str] = set()
         #: Peers in the suspect grace state: silent past the horizon

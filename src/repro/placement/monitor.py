@@ -100,7 +100,11 @@ class LoadMonitor:
         self.interval = interval
         self._last_busy: dict[str, float] = {}
         self._last_time: dict[str, float] = {}
-        self.history: list[dict[str, NodeLoad]] = []
+        #: The most recent snapshot (None before the first); older ones
+        #: are dropped, so a long run holds one fleet's worth of loads.
+        self.latest: Optional[dict[str, NodeLoad]] = None
+        #: Snapshots taken so far.
+        self.snapshot_count = 0
 
     def _tenant_series(self, tenant_id: int) -> Optional[Series]:
         name = f"tenant-{tenant_id}"
@@ -144,13 +148,14 @@ class LoadMonitor:
                 tenants=tuple(sorted(tenants, key=lambda t: t.tenant_id)),
                 alive=getattr(node, "alive", True),
             )
-        self.history.append(loads)
+        self.latest = loads
+        self.snapshot_count += 1
         return loads
 
     def dead_nodes(self, loads: Optional[dict[str, NodeLoad]] = None) -> list[str]:
         """Nodes whose daemon was down in the given (or latest) snapshot."""
         if loads is None:
-            loads = self.history[-1] if self.history else {}
+            loads = self.latest or {}
         return sorted(name for name, load in loads.items() if not load.alive)
 
     def run(self):

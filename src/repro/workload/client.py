@@ -143,6 +143,9 @@ class BenchmarkClient:
             yield self.env.process(engine.execute(txn))
             self.stats.completed += 1
             self.trace.record(self.series, self.env.now, txn.latency)
+            # Do not pin the finished transaction (and its operations)
+            # while this worker idles on the queue.
+            del txn
 
 
 class ClosedBenchmarkClient:

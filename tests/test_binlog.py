@@ -1,10 +1,12 @@
 """Unit and property tests for the binary log."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.db.log import BinaryLog
+from repro.db.log import BinaryLog, LogRecord
 
 
 class TestBinaryLog:
@@ -102,3 +104,49 @@ def test_ranges_partition_the_log(sizes, split):
     left = log.bytes_between(0, mid)
     right = log.bytes_between(mid, log.head_lsn)
     assert left + right == log.head_lsn
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42, 2024])
+def test_columns_match_a_list_of_records_reference(seed):
+    """Range queries and truncation on the columnar log agree with a
+    plain list of :class:`LogRecord` under seeded appends, queries with
+    bounds on, inside and past record boundaries, and purges."""
+    rng = random.Random(seed)
+    log = BinaryLog()
+    reference: list[LogRecord] = []
+    head = 0
+
+    def bound() -> int:
+        # Record starts, mid-record points, the head and beyond.
+        pick = rng.random()
+        if pick < 0.4 and reference:
+            return rng.choice(reference).lsn
+        if pick < 0.5:
+            return head + rng.randint(0, 300)
+        return rng.randint(0, head + 1)
+
+    for step in range(600):
+        roll = rng.random()
+        if roll < 0.6:
+            size = rng.randint(1, 300)
+            tag = rng.randint(0, 3)
+            record = LogRecord(head, size, time=step * 0.25, txn_id=step, tag=tag)
+            assert log.append(size, record.time, step, tag) == head + size
+            reference.append(record)
+            head += size
+        elif roll < 0.9:
+            lo, hi = sorted((bound(), bound()))
+            inside = [r for r in reference if lo <= r.lsn < hi]
+            assert log.records_between(lo, hi) == inside
+            tag = rng.randint(0, 3)
+            assert log.tagged_bytes_between(lo, hi, tag) == sum(
+                r.size for r in inside if r.tag == tag
+            )
+        else:
+            lsn = bound()
+            dropped = [r for r in reference if r.lsn + r.size <= lsn]
+            assert log.truncate_before(lsn) == sum(r.size for r in dropped)
+            reference = reference[len(dropped):]
+        assert log.record_count == len(reference)
+        assert log.head_lsn == head
+    assert log.records_between(0, head + 1) == reference

@@ -1,5 +1,6 @@
 """Unit and model-based property tests for the LRU buffer pool."""
 
+import random
 from collections import OrderedDict
 
 import pytest
@@ -138,6 +139,13 @@ class ReferenceLru:
         self.pages[page] = write
         return ("miss", page, writeback)
 
+    def flush(self, page):
+        if self.pages.get(page):
+            self.pages.pop(page)
+            self.pages[page] = False
+            return True
+        return False
+
 
 @settings(max_examples=60)
 @given(
@@ -174,3 +182,33 @@ def test_accesses_equal_hits_plus_misses(ops):
     assert pool.stats.accesses == len(ops)
     assert pool.stats.hits + pool.stats.misses == len(ops)
     assert pool.stats.dirty_evictions <= pool.stats.evictions
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_dirty_count_matches_recount_under_flushes(seed):
+    """The running dirty counter equals a recount after every step of a
+    seeded mix of read hits/misses, write hits/misses, dirty evictions,
+    flusher-style oldest-dirty flushes and arbitrary-page flushes."""
+    rng = random.Random(seed)
+    capacity = 8
+    pool = pool_of(capacity)
+    model = ReferenceLru(capacity)
+    for _ in range(3000):
+        roll = rng.random()
+        if roll < 0.1:
+            page = pool.oldest_dirty_page()
+            if page is not None:
+                assert pool.flush_page(page) and model.flush(page)
+        elif roll < 0.2:
+            page = rng.randrange(24)
+            assert pool.flush_page(page) == model.flush(page)
+        else:
+            page = rng.randrange(24)
+            write = rng.random() < 0.5
+            pool.access(page, write=write)
+            model.access(page, write)
+        assert pool.dirty_count == len(pool.dirty_pages())
+        assert pool.dirty_count == sum(model.pages.values())
+        assert pool.resident_pages() == list(model.pages)
+    assert pool.stats.dirty_evictions > 0
+    assert pool.stats.flushes > 0

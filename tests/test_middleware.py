@@ -197,6 +197,22 @@ class TestCluster:
         assert set(cluster.node("a").peers) == {"b", "c"}
         assert cluster.node("a") not in cluster.node("a").peers.values()
 
+    def test_peer_directory_is_the_cluster_order_without_self(self, env):
+        names = ("c", "a", "d", "b")
+        cluster = self.make_cluster(env, names)
+        for name in names:
+            peers = cluster.node(name).peers
+            expected = [n for n in names if n != name]
+            assert list(peers) == expected
+            assert len(peers) == len(expected)
+            assert name not in peers
+            assert "zz" not in peers
+            assert all(peers[n] is cluster.node(n) for n in expected)
+            with pytest.raises(KeyError):
+                peers[name]
+            with pytest.raises(KeyError):
+                peers["zz"]
+
     def test_unknown_node_raises(self, env):
         cluster = self.make_cluster(env)
         with pytest.raises(KeyError):

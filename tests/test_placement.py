@@ -74,7 +74,9 @@ class TestLoadMonitor:
         slacker, monitor = self.make()
         slacker.env.process(monitor.run())
         slacker.advance(16.0)
-        assert len(monitor.history) == 3
+        assert monitor.snapshot_count == 3
+        assert {load.time for load in monitor.latest.values()} == {15.0}
+        assert set(monitor.latest) == {"a", "b"}
 
     def test_hottest_tenant(self):
         load = node_load("a", 0.5, [
