@@ -29,19 +29,13 @@ Quickstart::
     slacker.advance(20.0)                       # warm up
     result = slacker.migrate(1, "db-02", setpoint=1.0)
     print(result.duration, result.downtime)
+
+The public names below resolve on first access, so ``import
+repro.simulation`` or ``python -m repro.lint`` loads only the layers it
+uses, not the whole simulator.
 """
 
-from .core.config import (
-    CASE_STUDY,
-    EVALUATION,
-    ExperimentConfig,
-    TenantConfig,
-    WorkloadConfig,
-)
-from .core.sla import LatencySla, SlaMonitor
-from .core.slacker import Slacker
-from .migration.live import LiveMigration, LiveMigrationResult, MigrationPhase
-from .migration.throttle import Throttle
+from importlib import import_module
 
 __version__ = "1.0.0"
 
@@ -60,3 +54,28 @@ __all__ = [
     "WorkloadConfig",
     "__version__",
 ]
+
+#: Public name -> module that defines it, relative to this package.
+_EXPORTS = {
+    "CASE_STUDY": ".core.config",
+    "EVALUATION": ".core.config",
+    "ExperimentConfig": ".core.config",
+    "TenantConfig": ".core.config",
+    "WorkloadConfig": ".core.config",
+    "LatencySla": ".core.sla",
+    "SlaMonitor": ".core.sla",
+    "Slacker": ".core.slacker",
+    "LiveMigration": ".migration.live",
+    "LiveMigrationResult": ".migration.live",
+    "MigrationPhase": ".migration.live",
+    "Throttle": ".migration.throttle",
+}
+
+
+def __getattr__(name: str):
+    """Resolve a public name on first access (PEP 562)."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(_EXPORTS[name], __name__), name)
+    globals()[name] = value
+    return value

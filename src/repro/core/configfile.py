@@ -19,11 +19,14 @@ Lets users define custom scenarios without writing Python::
 
 Then ``load_config("myconfig.toml")`` or, from the CLI,
 ``python -m repro run fig5 --config myconfig.toml``.
+
+TOML files need Python 3.11+ (the stdlib :mod:`tomllib`); on 3.10
+:func:`load_config` raises :class:`ConfigFileError`, and
+:func:`config_from_dict` works on every supported version.
 """
 
 from __future__ import annotations
 
-import tomllib
 from dataclasses import replace
 from pathlib import Path
 from typing import Any
@@ -119,6 +122,13 @@ def config_from_dict(payload: dict[str, Any]) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Load an :class:`ExperimentConfig` from a TOML file."""
+    try:
+        import tomllib
+    except ModuleNotFoundError:
+        raise ConfigFileError(
+            "TOML config files need Python 3.11+ (no tomllib on "
+            "this interpreter)"
+        ) from None
     path = Path(path)
     try:
         payload = tomllib.loads(path.read_text())

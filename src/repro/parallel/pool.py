@@ -29,11 +29,12 @@ run.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .runner import resolve_jobs
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["WorkerPool", "PREFERRED_CONTEXT"]
 
@@ -79,6 +80,10 @@ class WorkerPool:
     def executor(self) -> ProcessPoolExecutor:
         """The shared executor, created on first use."""
         if self._executor is None:
+            # Imported here, where workers start, so a process that
+            # never fans out never loads the multiprocessing machinery.
+            from concurrent.futures import ProcessPoolExecutor
+
             self._executor = ProcessPoolExecutor(
                 max_workers=self.jobs, mp_context=self._make_context()
             )
@@ -87,6 +92,8 @@ class WorkerPool:
         return self._executor
 
     def _make_context(self):
+        import multiprocessing
+
         try:
             context = multiprocessing.get_context(self._context_name)
         except ValueError:

@@ -31,7 +31,6 @@ Guarantees:
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
@@ -146,6 +145,10 @@ class SweepRunner:
         elif self.pool is not None:
             self._dispatch(self.pool.executor(), points, pending, results)
         else:
+            # Only a fan-out loads the executor machinery; jobs=1
+            # sweeps never import it.
+            from concurrent.futures import ProcessPoolExecutor
+
             workers = min(self.jobs, len(pending))
             with ProcessPoolExecutor(max_workers=workers) as executor:
                 self._dispatch(executor, points, pending, results)
