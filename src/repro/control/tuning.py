@@ -81,8 +81,8 @@ def budget_setpoint(
 
     ``baseline`` is the latency floor attributed to the workload itself
     (0.0 when unknown — the conservative split).  ``share = 1.0``
-    returns ``base_setpoint`` exactly, so a lone stream is bit-identical
-    to the unbudgeted serialized path.
+    returns ``base_setpoint`` exactly, so a lone stream runs at the
+    caller's full setpoint.
     """
     if base_setpoint <= 0:
         raise ValueError(f"base_setpoint must be positive, got {base_setpoint}")

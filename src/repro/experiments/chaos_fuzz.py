@@ -234,7 +234,7 @@ def fuzz_point(
     """One fuzzed schedule: leased cluster + random plan + invariants.
 
     Unlike :func:`~repro.experiments.chaos_sweep.chaos_point`, the
-    migration is driven through :class:`WaveExecutor.execute_serial`
+    migration is launched as a wave of one by :class:`WaveExecutor`
     with a dedicated :class:`SlackBudgetLedger`, so "every reservation
     released" is part of the checked surface.  ``controller_down``
     models a fail-stop controller outage (leases starve, holders must
@@ -294,7 +294,8 @@ def fuzz_point(
 
     def driver():
         yield env.timeout(warmup)
-        yield env.process(executor.execute_serial(proposal))
+        executor.launch_wave([proposal], respect_cooldown=False)
+        yield from executor.settle()
 
     proc = env.process(driver())
     env.run(until=env.any_of([proc, env.timeout(run_limit)]))

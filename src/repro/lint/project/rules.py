@@ -735,8 +735,8 @@ class PlacementLaunchPath(ProjectRule):
                     node.col_offset,
                     f"`.{node.func.attr}(...)` bypasses the wave executor's "
                     "slack-budget admission — launch placement migrations "
-                    "through WaveExecutor (launch_wave/execute_serial) so "
-                    "per-node budgets stay enforced",
+                    "through WaveExecutor.launch_wave so per-node budgets "
+                    "stay enforced",
                 )
         return self.findings
 

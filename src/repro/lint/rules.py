@@ -695,8 +695,8 @@ class EagerPeriodicLoopRule(Rule):
     so the rule still points it at the API; suppress with
     ``# slackerlint: disable=SLK011`` where the eager form is load-
     bearing: loops whose interval runs from the *completion* of work
-    that consumes simulated time (heartbeat sends, lease renewals,
-    ``PlacementManager.run``) are not on a tick grid at all.
+    that consumes simulated time (heartbeat sends, lease renewals)
+    are not on a tick grid at all.
     """
 
     id = "SLK011"

@@ -797,9 +797,8 @@ class SlackerNode:
         suspected (``suspected_peers``; no migrations cancelled) until
         the silence also exceeds ``horizon + suspect_grace`` — so one
         one-way partition window doesn't instantly kill migrations
-        that would have survived it.  The default ``0.0`` runs the
-        original two-state detector on an unchanged event path
-        (bit-identity locked by tests).
+        that would have survived it.  At the default ``0.0`` the
+        suspect state is never entered: the two thresholds coincide.
         """
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval}")
@@ -851,36 +850,23 @@ class SlackerNode:
                 yield self._parked_until_restart()
                 ticker.skip_until(self.env.now)
                 continue
-            if suspect_grace > 0.0:
-                for peer in peer_names:
-                    silent = self.env.now - self._peer_last_seen.get(peer, 0.0)
-                    if silent > horizon + suspect_grace:
-                        self.suspected_peers.discard(peer)
-                        if peer not in self.dead_peers:
-                            self.dead_peers.add(peer)
-                            self.stats.peers_declared_dead += 1
-                            self._cancel_migrations_to(peer)
-                    elif silent > horizon:
-                        if (
-                            peer not in self.suspected_peers
-                            and peer not in self.dead_peers
-                        ):
-                            self.suspected_peers.add(peer)
-                            self.stats.peers_suspected += 1
-                    else:
-                        self.suspected_peers.discard(peer)
-                        self.dead_peers.discard(peer)
-                continue
-            # Legacy two-state scan, byte-for-byte the original
-            # comparisons (the flag-off path is bit-identity locked).
             for peer in peer_names:
                 silent = self.env.now - self._peer_last_seen.get(peer, 0.0)
-                if silent > horizon:
+                if silent > horizon + suspect_grace:
+                    self.suspected_peers.discard(peer)
                     if peer not in self.dead_peers:
                         self.dead_peers.add(peer)
                         self.stats.peers_declared_dead += 1
                         self._cancel_migrations_to(peer)
+                elif silent > horizon:
+                    if (
+                        peer not in self.suspected_peers
+                        and peer not in self.dead_peers
+                    ):
+                        self.suspected_peers.add(peer)
+                        self.stats.peers_suspected += 1
                 else:
+                    self.suspected_peers.discard(peer)
                     self.dead_peers.discard(peer)
 
     def _cancel_migrations_to(self, peer: str) -> None:

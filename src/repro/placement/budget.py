@@ -64,9 +64,8 @@ class SlackBudgetLedger:
 
     ``capacity`` is the per-node budget (1.0 = the node's full slack);
     ``default_share`` is the fraction a single stream reserves when the
-    caller does not pick one.  ``default_share=1.0`` reproduces the
-    serialized world: one stream per node, full setpoint — the K=1
-    bit-identity anchor.
+    caller does not pick one.  ``default_share=1.0`` is the
+    serialized world: one stream per node, full setpoint.
     """
 
     def __init__(self, capacity: float = 1.0, default_share: float = 1.0):

@@ -44,10 +44,9 @@ _EPSILON = 1e-9
 class WavePlanner:
     """Turns one load snapshot into a wave of non-conflicting proposals.
 
-    Detection order and chooser inputs reproduce the legacy serialized
-    manager exactly when nothing is busy: the first proposal of a
-    ``plan(..., max_proposals=1)`` call is the proposal the old
-    ``PlacementManager.step`` would have executed.
+    Hot nodes are visited in detector order; each gets the chooser's
+    proposal against the nodes no earlier proposal (or busy stream)
+    has claimed.
     """
 
     def __init__(self, detector: HotspotDetector, chooser: PlacementChooser):
@@ -60,7 +59,6 @@ class WavePlanner:
         busy_tenants: Iterable[int] = (),
         busy_nodes: Iterable[str] = (),
         excluded_targets: Iterable[str] = (),
-        max_proposals: Optional[int] = None,
     ) -> list[MigrationProposal]:
         """One detector-driven wave for the given snapshot.
 
@@ -75,8 +73,6 @@ class WavePlanner:
         excluded = set(excluded_targets)
         wave: list[MigrationProposal] = []
         for hot in self.detector.hot_nodes(loads):
-            if max_proposals is not None and len(wave) >= max_proposals:
-                break
             if hot in claimed_nodes:
                 continue
             visible = {
@@ -162,9 +158,8 @@ class WaveExecutor:
     ``max_concurrent`` caps fleet-wide in-flight migrations;
     ``max_streams_per_node`` fixes each stream's budget share at
     ``capacity / max_streams_per_node``, which in turn scales the
-    stream's effective latency setpoint.  With both at 1 the executor's
-    serialized path (:meth:`execute_serial`) is bit-identical to the
-    pre-wave manager.
+    stream's effective latency setpoint.  With both at 1 the executor
+    runs one migration at a time at the full setpoint: a wave of one.
     """
 
     def __init__(
@@ -200,15 +195,10 @@ class WaveExecutor:
         self.obs = obs
         #: tenant_id -> in-flight migration process.
         self.active: dict[int, object] = {}
-        #: Global rest applied by the serialized path (legacy semantics).
-        self.cooldown_until = 0.0
-        self._node_cooldown_until: dict[str, float] = {}
+        #: node -> end of its post-migration rest.
+        self._rest_until: dict[str, float] = {}
 
     # -- queries ---------------------------------------------------------
-
-    @property
-    def active_count(self) -> int:
-        return len(self.active)
 
     def busy_tenants(self) -> frozenset[int]:
         """Tenants currently mid-migration."""
@@ -222,7 +212,7 @@ class WaveExecutor:
         """
         blocked = {
             node
-            for node, until in self._node_cooldown_until.items()
+            for node, until in self._rest_until.items()
             if now < until
         }
         for reservation in self.ledger.reservations():
@@ -239,70 +229,7 @@ class WaveExecutor:
             if node in (r.source, r.target)
         )
 
-    # -- serialized path (legacy semantics, K = 1) -----------------------
-
-    def execute_serial(self, proposal: MigrationProposal):
-        """Process: run one migration inline, blocking the caller.
-
-        This is the pre-wave ``PlacementManager._execute`` verbatim —
-        same checks, same event sequence, full-capacity budget share so
-        the setpoint passes through untouched — plus the abort fix:
-        a mid-flight :class:`MigrationAborted` now records an
-        ``"aborted"`` decision, counts in stats, and still applies the
-        cooldown instead of crashing the control loop.
-        """
-        env = self.cluster.env
-        source = self.cluster.node(proposal.source)
-        if proposal.tenant_id not in source.registry:
-            self.stats.skipped += 1
-            self.stats.decisions.append(
-                PlacementDecision(
-                    time=env.now,
-                    proposal=proposal,
-                    executed=False,
-                    outcome="skipped",
-                )
-            )
-            return
-        reservation = self.ledger.reserve(
-            proposal.tenant_id,
-            proposal.source,
-            proposal.target,
-            share=self.ledger.capacity,
-            time=env.now,
-        )
-        decision = PlacementDecision(
-            time=env.now, proposal=proposal, executed=False
-        )
-        self.stats.decisions.append(decision)
-        try:
-            result = yield env.process(
-                source.migrate_tenant(
-                    proposal.tenant_id,
-                    proposal.target,
-                    setpoint=self.setpoint,
-                    chunks=proposal.chunks or None,
-                )
-            )
-        except MigrationAborted:
-            decision.outcome = "aborted"
-            self.stats.aborted += 1
-            self.cooldown_until = env.now + self.cooldown
-            if self.obs is not None:
-                self.obs.on_fleet_migration(aborted=True)
-            return
-        finally:
-            self.ledger.release(reservation, time=env.now)
-        self.cooldown_until = env.now + self.cooldown
-        self.stats.migrations += 1
-        decision.executed = True
-        decision.outcome = "completed"
-        decision.duration = result.duration
-        decision.downtime = result.downtime
-        if self.obs is not None:
-            self.obs.on_fleet_migration(aborted=False, seconds=result.duration)
-
-    # -- wave path (K > 1, drains, rebalancing) --------------------------
+    # -- wave path ------------------------------------------------------
 
     def launch_wave(
         self,
@@ -329,8 +256,8 @@ class WaveExecutor:
             if proposal.tenant_id in self.active:
                 continue
             if respect_cooldown and (
-                now < self._node_cooldown_until.get(proposal.source, 0.0)
-                or now < self._node_cooldown_until.get(proposal.target, 0.0)
+                now < self._rest_until.get(proposal.source, 0.0)
+                or now < self._rest_until.get(proposal.target, 0.0)
             ):
                 continue
             source = self.cluster.node(proposal.source)
@@ -415,8 +342,8 @@ class WaveExecutor:
             self.active.pop(proposal.tenant_id, None)
             self.ledger.release(reservation, time=env.now)
             rest = env.now + self.cooldown
-            self._node_cooldown_until[proposal.source] = rest
-            self._node_cooldown_until[proposal.target] = rest
+            self._rest_until[proposal.source] = rest
+            self._rest_until[proposal.target] = rest
 
     def settle(self):
         """Process: wait until every in-flight migration has finished."""
