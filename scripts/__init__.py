@@ -1,1 +1,1 @@
-"""Operational scripts (also importable, e.g. by the benchmarks)."""
+"""Operational scripts (an importable package)."""

@@ -63,20 +63,15 @@ class SlackBudgetLedger:
     """Tracks inbound + outbound slack reservations per node.
 
     ``capacity`` is the per-node budget (1.0 = the node's full slack);
-    ``default_share`` is the fraction a single stream reserves when the
-    caller does not pick one.  ``default_share=1.0`` is the
-    serialized world: one stream per node, full setpoint.
+    each :meth:`reserve` names its stream's ``share`` of it.  A share
+    equal to ``capacity`` is the serialized world: one stream per node,
+    full setpoint.
     """
 
-    def __init__(self, capacity: float = 1.0, default_share: float = 1.0):
+    def __init__(self, capacity: float = 1.0):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if not 0 < default_share <= capacity:
-            raise ValueError(
-                f"default_share must be in (0, {capacity}], got {default_share}"
-            )
         self.capacity = capacity
-        self.default_share = default_share
         self._used: dict[str, float] = {}
         self._active: dict[int, BudgetReservation] = {}
         #: Audit trail of every reserve/release, in event order.
@@ -122,7 +117,8 @@ class SlackBudgetLedger:
         tenant_id: int,
         source: str,
         target: str,
-        share: Optional[float] = None,
+        *,
+        share: float,
         time: float = 0.0,
     ) -> BudgetReservation:
         """Reserve ``share`` of slack at both endpoints.
@@ -131,7 +127,6 @@ class SlackBudgetLedger:
         tenant reservation — the executor must check :meth:`can_admit`
         first; the raise is the invariant's last line of defense.
         """
-        share = self.default_share if share is None else share
         if tenant_id in self._active:
             raise ValueError(f"tenant {tenant_id} already holds a reservation")
         if source == target:

@@ -95,7 +95,6 @@ class WavePlanner:
         loads: dict[str, NodeLoad],
         busy_tenants: Iterable[int] = (),
         excluded_targets: Iterable[str] = (),
-        max_proposals: Optional[int] = None,
     ) -> list[MigrationProposal]:
         """A wave evacuating every remaining tenant of ``source``.
 
@@ -133,8 +132,6 @@ class WavePlanner:
         )
         wave: list[MigrationProposal] = []
         for tenant in pending:
-            if max_proposals is not None and len(wave) >= max_proposals:
-                break
             name = min(
                 projected,
                 key=lambda n: (projected[n][0], projected[n][1], n),

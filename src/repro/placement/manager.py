@@ -57,8 +57,6 @@ class PlacementManager:
     ):
         if setpoint <= 0:
             raise ValueError(f"setpoint must be positive, got {setpoint}")
-        if cooldown < 0:
-            raise ValueError(f"cooldown must be >= 0, got {cooldown}")
         self.cluster = cluster
         self.monitor = LoadMonitor(cluster, trace, interval=interval)
         self.setpoint = setpoint
@@ -66,7 +64,6 @@ class PlacementManager:
             latency_threshold=setpoint
         )
         self.chooser = chooser or GreedyReliefChooser()
-        self.cooldown = cooldown
         self.stats = PlacementStats()
         self.planner = WavePlanner(self.detector, self.chooser)
         self.executor = WaveExecutor(

@@ -423,8 +423,8 @@ class Environment:
         """Total events popped off the heap and processed since construction.
 
         For a run that drains the queue this equals the number of
-        events ever scheduled — the figure ``scripts/bench_kernel.py``
-        reports as events/sec.
+        events ever scheduled — the count slackbench reports as
+        ``simulation.core.events``.
         """
         return self._processed
 
@@ -437,8 +437,8 @@ class Environment:
         deposits) report every conceptual tick they advanced past without
         putting an event on the queue.  ``processed_events +
         elided_events`` is therefore what the same trajectory would
-        have cost with one event per tick — the denominator for the
-        coalescing win ``scripts/bench_kernel.py --fleet`` records.
+        have cost with one event per tick; slackbench reports this
+        count as ``simulation.core.elided_events``.
         """
         return self._elided
 

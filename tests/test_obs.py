@@ -7,11 +7,15 @@ bit-identity guarantee, and the ``python -m repro.obs summarize`` CLI.
 
 from __future__ import annotations
 
+import cProfile
 import json
+import os
 
 import pytest
 
+import repro.obs
 from repro.core.config import CASE_STUDY
+from repro.experiments import fleet_sweep
 from repro.experiments.chaos_sweep import chaos_point
 from repro.experiments.common import scaled_config
 from repro.experiments.harness import MigrationSpec, run_single_tenant
@@ -28,6 +32,7 @@ from repro.obs import (
     read_jsonl,
 )
 from repro.obs.cli import main as obs_main, summarize_text
+from repro.resources.units import MB
 from repro.simulation import Environment
 
 TINY = scaled_config(CASE_STUDY, 0.0625, 7)
@@ -323,6 +328,72 @@ class TestObservabilityRuntime:
         spans = obs.tracer.to_dicts()
         assert len(spans) == 1
         assert "unfinished" not in spans[0]["attrs"]
+
+
+OBS_DIR = os.path.dirname(repro.obs.__file__) + os.sep
+GATE = scaled_config(CASE_STUDY, 0.0625, 42)
+DRAIN = next(
+    p for p in fleet_sweep.sweep_points(nodes=10, tenants=50, seed=42)
+    if p.label == "drain"
+)
+
+
+def _drain(observe: bool = False):
+    return fleet_sweep.fleet_point(
+        DRAIN.config, DRAIN.spec, **{**DRAIN.kwargs, "observe": observe}
+    )
+
+
+def _obs_calls(run):
+    """Run ``run()`` under cProfile; count calls into ``repro/obs/``.
+
+    Returns ``(result, obs_calls, total_calls)``, where ``obs_calls``
+    maps each called obs function (``file:line(name)``) to its count.
+    """
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        result = run()
+    finally:
+        profiler.disable()
+    obs_calls: dict[str, int] = {}
+    total = 0
+    for entry in profiler.getstats():
+        total += entry.callcount
+        code = entry.code
+        if not isinstance(code, str) and code.co_filename.startswith(OBS_DIR):
+            name = os.path.basename(code.co_filename)
+            key = f"{name}:{code.co_firstlineno}({code.co_name})"
+            obs_calls[key] = obs_calls.get(key, 0) + entry.callcount
+    return result, obs_calls, total
+
+
+class TestObsZeroCostWhenOff:
+    """With observability off, a run makes no call into ``repro.obs``.
+
+    The count is exact, so host noise cannot flip it.  An import check
+    would not serve: ``repro.obs`` is imported either way.
+    """
+
+    @pytest.mark.parametrize(
+        "spec",
+        [MigrationSpec.dynamic(0.15), MigrationSpec.fluid(4 * MB, 8)],
+        ids=["dynamic", "fluid"],
+    )
+    def test_single_tenant_run_makes_no_obs_calls(self, spec):
+        _, obs_calls, total = _obs_calls(lambda: run_single_tenant(GATE, spec))
+        assert total > 100_000  # the profiler saw the whole run
+        assert not obs_calls, obs_calls
+
+    def test_fleet_drain_makes_no_obs_calls_unless_observed(self):
+        plain, off_calls, total = _obs_calls(_drain)
+        assert total > 100_000
+        assert not off_calls, off_calls
+        # The counter does see obs calls when there are some, and
+        # watching leaves the trajectory unchanged.
+        watched, on_calls, _ = _obs_calls(lambda: _drain(observe=True))
+        assert sum(on_calls.values()) > 0
+        assert watched.fingerprint == plain.fingerprint
 
 
 class TestSummarizeCli:

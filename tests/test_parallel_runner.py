@@ -1,4 +1,4 @@
-"""SweepRunner: serial/parallel bit-identity, ordering, and caching.
+"""SweepRunner: serial/parallel bit-identity, ordering, caching, dispatch.
 
 The paper-shape claims all rest on seed-determinism, so the parallel
 fan-out must be *invisible* in the results: ``jobs=1`` and ``jobs=N``
@@ -7,6 +7,9 @@ record a live run would have produced.
 """
 
 from __future__ import annotations
+
+import pickle
+from concurrent.futures import Future
 
 import pytest
 
@@ -24,6 +27,7 @@ from repro.parallel import (
     resolve_jobs,
     resolve_task,
 )
+from repro.parallel.tasks import execute_batch
 
 SCALE = 0.125
 
@@ -204,6 +208,71 @@ class TestChaosSweepParallelEquivalence:
         again = execute(point.task, point.config, point.spec, point.kwargs)
         assert first.fingerprint == again.fingerprint
         assert first == again
+
+
+class _RecordingExecutor:
+    """Runs each submission inline and records what would be pickled."""
+
+    def __init__(self):
+        #: One ``(args, pickled bytes)`` pair per ``submit`` call.
+        self.submits: list[tuple[tuple, int]] = []
+
+    def submit(self, fn, *args, **kwargs):
+        payload = pickle.dumps((fn, args, kwargs))
+        self.submits.append((args, len(payload)))
+        fn, args, kwargs = pickle.loads(payload)
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+class _StubPool:
+    """A ``WorkerPool`` stand-in with a fixed ``jobs`` and no workers."""
+
+    def __init__(self, jobs: int):
+        self.jobs = jobs
+        self.executor_calls = 0
+        self.recorder = _RecordingExecutor()
+
+    def executor(self):
+        self.executor_calls += 1
+        return self.recorder
+
+
+class TestSweepDispatch:
+    """Dispatch cost, counted rather than timed: the number of worker
+    round-trips and the bytes each one pickles."""
+
+    @pytest.fixture(scope="class")
+    def fuzz_points(self):
+        from repro.experiments import chaos_fuzz
+
+        return chaos_fuzz.fuzz_points(schedules=16)
+
+    @pytest.mark.parametrize("jobs, expected", [(2, 8), (4, 16)])
+    def test_batches_are_few_and_light(self, fuzz_points, jobs, expected):
+        pool = _StubPool(jobs)
+        records = SweepRunner(pool=pool).run(fuzz_points)
+        assert pool.executor_calls == 1
+
+        n = len(fuzz_points)
+        chunk = -(-n // (4 * jobs))
+        submits = len(pool.recorder.submits)
+        assert submits == -(-n // chunk) == expected
+
+        index = {point.label: i for i, point in enumerate(fuzz_points)}
+        dispatched = [
+            index[kwargs["label"]]
+            for args, _ in pool.recorder.submits
+            for _, _, _, kwargs in args[0]
+        ]
+        assert sorted(dispatched) == list(range(n))
+        assert [r.label for r in records] == [p.label for p in fuzz_points]
+
+        batch_ref = len(pickle.dumps(execute_batch))
+        for args, size in pool.recorder.submits:
+            standalone = sum(len(pickle.dumps(item)) for item in args[0])
+            assert size <= standalone + batch_ref
 
 
 class TestWarmPool:
