@@ -66,15 +66,11 @@ def outcome_to_dict(outcome) -> dict:
         migration = {
             "duration_s": _clean(result.duration),
             "downtime_s": _clean(result.downtime),
+            "total_bytes": result.total_bytes,
+            "average_rate_bytes_per_s": _clean(result.average_rate),
         }
-        for attr, key in (
-            ("total_bytes", "total_bytes"),
-            ("bytes_copied", "total_bytes"),
-            ("average_rate", "average_rate_bytes_per_s"),
-            ("snapshot_seconds", "snapshot_seconds"),
-        ):
-            if hasattr(result, attr):
-                migration[key] = _clean(getattr(result, attr))
+        if hasattr(result, "snapshot_seconds"):
+            migration["snapshot_seconds"] = _clean(result.snapshot_seconds)
         if hasattr(result, "delta_rounds"):
             migration["delta_rounds"] = len(result.delta_rounds)
     return {

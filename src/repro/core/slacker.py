@@ -23,6 +23,7 @@ from ..middleware.node import NodeConfig
 from ..analysis.report import Table, format_ms
 from ..middleware.tenant import Tenant
 from ..migration.live import LiveMigrationResult
+from ..migration.spec import MigrationSpec
 from ..simulation import Environment, RandomStreams, Series, Trace
 from ..workload.client import BenchmarkClient
 from .config import EVALUATION, ExperimentConfig
@@ -199,9 +200,12 @@ class Slacker:
         if source_name is None:
             raise KeyError(f"unknown tenant {tenant_id}")
         source = self.cluster.node(source_name)
-        proc = self.env.process(
-            source.migrate_tenant(
-                tenant_id, target, setpoint=setpoint, fixed_rate=fixed_rate
-            )
+        if (setpoint is None) == (fixed_rate is None):
+            raise ValueError("give exactly one of setpoint or fixed_rate")
+        spec = (
+            MigrationSpec.fixed(fixed_rate)
+            if setpoint is None
+            else MigrationSpec.dynamic(setpoint)
         )
+        proc = self.env.process(source.migrate_tenant(tenant_id, target, spec))
         return self.env.run(until=proc)

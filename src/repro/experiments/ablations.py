@@ -256,7 +256,6 @@ def window_size_point(
     config: ExperimentConfig, spec: MigrationSpec, window: float
 ) -> WindowResult:
     """Worker task: controller stability at one sliding-window size."""
-    setpoint = spec.setpoint
     streams = RandomStreams(config.seed)
     env = Environment()
     cluster = SlackerCluster(
@@ -282,7 +281,7 @@ def window_size_point(
         yield env.timeout(10.0)
         start = env.now
         result = yield env.process(
-            source.migrate_tenant(1, "target", setpoint=setpoint)
+            source.migrate_tenant(1, "target", spec)
         )
         return start, env.now, result
 
@@ -400,7 +399,7 @@ def _closed_generator_point(config: ExperimentConfig, spec: MigrationSpec):
         yield env.timeout(10.0)
         start = env.now
         result = yield env.process(
-            source.migrate_tenant(1, "target", fixed_rate=spec.rate)
+            source.migrate_tenant(1, "target", spec)
         )
         return start, env.now, result
 

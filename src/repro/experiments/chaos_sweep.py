@@ -54,7 +54,7 @@ from ..parallel import SweepPoint, SweepRunner
 from ..resources.units import mb_per_sec
 from ..simulation import RandomStreams, Trace
 from .common import scaled_config
-from .harness import MigrationSpec, _build_cluster, _run_migration_spec, attach_workload
+from .harness import MigrationSpec, _build_cluster, attach_workload
 from ..middleware.transport import RetryPolicy
 
 __all__ = ["ChaosRecord", "chaos_point", "sweep_points", "run", "main"]
@@ -163,7 +163,7 @@ def chaos_point(
     def driver():
         yield env.timeout(warmup)
         try:
-            yield env.process(_run_migration_spec(cluster, spec, 1, config))
+            yield env.process(source.migrate_tenant(1, "target", spec))
         except MigrationAborted as exc:
             return ("aborted", str(exc))
         return ("completed", "")

@@ -31,7 +31,7 @@ from ..middleware.node import NodeConfig
 from ..parallel import SweepPoint, SweepRunner
 from ..simulation import Environment, RandomStreams, Trace
 from .common import scaled_config
-from .harness import attach_workload
+from .harness import MigrationSpec, attach_workload
 
 __all__ = ["SourceTargetResult", "variant_point", "run", "main"]
 
@@ -127,7 +127,7 @@ def _run_variant(
         yield env.timeout(warmup)
         start = env.now
         result = yield env.process(
-            source.migrate_tenant(1, "target", setpoint=setpoint)
+            source.migrate_tenant(1, "target", MigrationSpec.dynamic(setpoint))
         )
         return start, env.now, result
 

@@ -447,13 +447,13 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - CLI
     parser.add_argument(
         "--report-out",
         type=str,
-        default="fleet_obs",
+        default=None,
         help="directory for per-scenario RunReport artifacts "
-        "(SLO gauges included); '-' disables",
+        "(SLO gauges included); off unless given",
     )
     args = parser.parse_args(argv)
 
-    observe = args.report_out != "-"
+    observe = args.report_out is not None
     records = run(
         nodes=args.nodes,
         tenants=args.tenants,

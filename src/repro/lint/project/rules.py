@@ -683,8 +683,6 @@ class ObsNameResolution(ProjectRule):
 # SLK106: placement migrations go through the wave executor
 # ---------------------------------------------------------------------------
 
-#: Node verbs that launch a migration stream when called on a node.
-_LAUNCH_VERBS = frozenset({"migrate_tenant", "enqueue_migration"})
 
 
 @register_project
@@ -694,12 +692,11 @@ class PlacementLaunchPath(ProjectRule):
     The slack-budget invariant (no node's inbound + outbound stream
     shares ever exceed its capacity) only holds if every migration the
     placement layer starts is admitted through the wave executor's
-    ledger.  A direct ``node.migrate_tenant(...)`` or
-    ``node.enqueue_migration(...)`` call anywhere else under
-    ``placement_scope`` bypasses admission control — it can silently
+    ledger.  A direct ``node.migrate_tenant(...)`` call anywhere else
+    under ``placement_scope`` bypasses admission control — it can silently
     oversubscribe a node the moment two code paths race.  Only the
     modules in ``placement_launch_allow`` (the executor itself) may
-    call the node verbs.
+    call the node verb.
     """
 
     id = "SLK106"
@@ -726,7 +723,7 @@ class PlacementLaunchPath(ProjectRule):
                 if not (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _LAUNCH_VERBS
+                    and node.func.attr == "migrate_tenant"
                 ):
                     continue
                 self.report(

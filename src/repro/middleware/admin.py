@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..analysis.report import Table, format_ms, format_rate
+from ..migration.spec import MigrationSpec
 from ..placement.manager import PlacementManager
 from ..resources.units import GB, MB
 from .cluster import SlackerCluster
@@ -234,15 +235,12 @@ class AdminConsole:
         if location is None:
             raise AdminError(f"unknown tenant {cmd.tenant_id}")
         source = self.cluster.node(location.node)
-        kwargs = {}
         if cmd.rate is not None:
-            kwargs["fixed_rate"] = cmd.rate
+            spec = MigrationSpec.fixed(cmd.rate)
         else:
-            kwargs["setpoint"] = cmd.setpoint or self.DEFAULT_SETPOINT
+            spec = MigrationSpec.dynamic(cmd.setpoint or self.DEFAULT_SETPOINT)
         env = self.cluster.env
-        proc = env.process(
-            source.migrate_tenant(cmd.tenant_id, cmd.node, **kwargs)
-        )
+        proc = env.process(source.migrate_tenant(cmd.tenant_id, cmd.node, spec))
         result = env.run(until=proc)
         return (
             f"migrated tenant {cmd.tenant_id}: {location.node} -> {cmd.node} "

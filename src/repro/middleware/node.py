@@ -8,11 +8,11 @@ instantiating (or deleting) MySQL instances for new tenants"
 (Section 2).
 
 The node owns tenant lifecycle (create/delete), answers control-plane
-messages from peers, and runs outgoing migrations — with either a
-fixed throttle or the PID-driven dynamic throttle.  For dynamic
-migrations the controller's process variable pools the latency of
-*all* tenants on the node (and optionally the target node), per
-Sections 5.6 and 6.
+messages from peers, and runs every outgoing migration — live, fluid,
+or a baseline, with either a fixed throttle or the PID-driven dynamic
+throttle.  For dynamic migrations the controller's process variable
+pools the latency of *all* tenants on the node (and optionally the
+target node), per Sections 5.6 and 6.
 
 Failure handling
 ----------------
@@ -49,8 +49,11 @@ from ..control.window import DEFAULT_WINDOW, LatencyWindow
 from ..db.engine import DatabaseEngine
 from ..db.pages import TableLayout
 from ..migration.controller import ControllerConfig, DynamicThrottleController
-from ..migration.fluid import FluidMigration
-from ..migration.live import LiveMigration, LiveMigrationResult, MigrationAborted
+from ..migration.fluid import DEFAULT_NUM_CHUNKS, FluidMigration
+from ..migration.live import LiveMigration, MigrationAborted
+from ..migration.on_demand import OnDemandMigration
+from ..migration.spec import MigrationSpec
+from ..migration.stop_and_copy import DumpReimportMigration, StopAndCopyMigration
 from ..migration.throttle import Throttle
 from ..resources.server import Server
 from ..resources.units import MB
@@ -127,7 +130,6 @@ class NodeStats:
     tenants_deleted: int = 0
     migrations_out: int = 0
     migrations_in: int = 0
-    migrations_queued: int = 0
     migrations_aborted: int = 0
     messages_handled: int = 0
     #: Duplicate/late control messages recognised and ignored.
@@ -147,11 +149,11 @@ class NodeStats:
     lease_expired_aborts: int = 0
     #: Protocol frames rejected for carrying a stale fencing token.
     stale_tokens_rejected: int = 0
-    completed: list[LiveMigrationResult] = field(default_factory=list)
+    completed: list = field(default_factory=list)
 
 
 class SlackerNode:
-    """The middleware instance running on one server."""
+    """One server's middleware: ``migrate_tenant(tenant_id, target, spec)``."""
 
     def __init__(
         self,
@@ -208,9 +210,9 @@ class SlackerNode:
         #: tenant_id -> fencing token of this node's in-flight
         #: outgoing migration.
         self._lease_tokens: dict[int, int] = {}
-        #: tenant_id -> in-flight *outgoing* LiveMigration (or
-        #: FluidMigration — same abort/target_server surface).
-        self.active_migrations: dict[int, LiveMigration] = {}
+        #: tenant_id -> in-flight *outgoing* migration (any data plane:
+        #: each has the try_abort/target_server surface).
+        self.active_migrations: dict = {}
         #: Most recent outgoing FluidMigration (kept past completion so
         #: chaos harnesses can audit its chunk-ownership invariants).
         self.last_fluid_migration: Optional[FluidMigration] = None
@@ -227,8 +229,6 @@ class SlackerNode:
         #: Last heartbeat received from each peer.
         self.peer_loads: dict[str, Heartbeat] = {}
         self._peer_last_seen: dict[str, float] = {}
-        self._migration_queue: list = []
-        self._migration_worker_running = False
         self._heartbeat_interval: Optional[float] = None
         self._detector_interval: Optional[float] = None
         self._last_disk_busy = 0.0
@@ -333,31 +333,21 @@ class SlackerNode:
 
     # -- migration --------------------------------------------------------------
 
-    def migrate_tenant(
-        self,
-        tenant_id: int,
-        target: str,
-        setpoint: Optional[float] = None,
-        fixed_rate: Optional[float] = None,
-        max_rate: Optional[float] = None,
-        chunks: Optional[int] = None,
-    ):
+    def migrate_tenant(self, tenant_id: int, target: str, spec: MigrationSpec):
         """Process: migrate a tenant to the named peer node.
 
-        Exactly one of ``setpoint`` (dynamic PID throttle, seconds) or
-        ``fixed_rate`` (bytes/second) must be given.  With ``chunks``
-        set the data plane is a :class:`FluidMigration` (per-chunk
-        handovers, dual-resident routing) instead of a single-handover
-        :class:`LiveMigration`.  Returns the migration result; raises
-        :class:`MigrationAborted` when the migration is cancelled
-        (undeliverable request, accept timeout, dead target, injected
-        abort, ...), in which case the tenant is back to plain
-        ``ACTIVE`` at the source.
+        ``spec`` picks the data plane (see :meth:`_data_plane`) and its
+        pacing: a ``rate`` is a fixed throttle, a ``setpoint`` drives
+        the throttle with the PID controller.  Every kind runs the same
+        control plane: ownership lease, request/accept round trip,
+        registry and frontend handover, completion frame.  Returns the
+        migration result; raises :class:`MigrationAborted` when the
+        migration is cancelled (undeliverable request, accept timeout,
+        dead target, injected abort, ...), in which case the tenant is
+        back to plain ``ACTIVE`` at the source.
         """
-        if (setpoint is None) == (fixed_rate is None):
-            raise ValueError("give exactly one of setpoint or fixed_rate")
-        if chunks is not None and chunks < 1:
-            raise ValueError(f"chunks must be >= 1, got {chunks}")
+        if spec.kind == "none":
+            raise ValueError("a 'none' migration spec moves nothing")
         if not self.alive:
             raise RuntimeError(f"node {self.name} is down")
         tenant = self.registry.get(tenant_id)
@@ -367,6 +357,8 @@ class SlackerNode:
             self.stats.migrations_aborted += 1
             raise MigrationAborted(f"target node {target} is marked dead")
         peer = self.peers[target]
+        fluid = spec.kind == "fluid"
+        chunks = (spec.chunks or DEFAULT_NUM_CHUNKS) if fluid else 0
         tenant.status = TenantStatus.MIGRATING_OUT
 
         # Ownership lease: grant before any protocol frame leaves, so
@@ -388,10 +380,10 @@ class SlackerNode:
         request = MigrateTenantRequest(
             tenant_id=tenant_id,
             target_node=target,
-            setpoint=setpoint or 0.0,
-            fixed_rate=fixed_rate or 0.0,
+            setpoint=spec.setpoint or 0.0,
+            fixed_rate=spec.rate or 0.0,
             token=token,
-            chunks=chunks or 0,
+            chunks=chunks,
         )
         try:
             yield self.env.process(self.endpoint.send(target, request))
@@ -417,45 +409,19 @@ class SlackerNode:
                 tenant, f"{target} refused migrate request (stale fencing token)"
             )
 
-        # Data plane: throttled live migration.  The fence gate runs on
-        # this node's *local* lease knowledge immediately before the
-        # handover point of no return.
+        # Data plane.  Live and fluid consult the fence gate, on this
+        # node's *local* lease knowledge, immediately before their
+        # point of no return; the baselines are unfenced.
         fence = None
         if self.lease_manager is not None and self.fencing_enabled:
             fence = lambda: self.env.now < self._lease_expiry.get(tenant_id, 0.0)
-        throttle = Throttle(self.env, rate=fixed_rate or 0.0)
+        throttle = None
+        if spec.rate is not None or spec.setpoint is not None:
+            throttle = Throttle(self.env, rate=spec.rate or 0.0)
         source_engine = tenant.engine
-        if chunks:
-            migration = FluidMigration(
-                self.env,
-                source_engine,
-                peer.server,
-                throttle,
-                num_chunks=chunks,
-                chunk_bytes=self.config.chunk_bytes,
-                on_handover=lambda engine: self._handover(tenant, peer, engine),
-                fence=fence,
-                token=token,
-                obs=self.obs,
-            )
-            migration.on_chunk_flip = self._chunk_flip_notifier(
-                migration, tenant_id, target, token
-            )
-            self.last_fluid_migration = migration
-            # Dual-resident window opens: requests route per chunk.
-            tenant.engine = migration.router
-            self.frontend.begin_chunked(tenant_id, migration.num_chunks, self.name)
-        else:
-            migration = LiveMigration(
-                self.env,
-                source_engine,
-                peer.server,
-                throttle,
-                chunk_bytes=self.config.chunk_bytes,
-                on_handover=lambda engine: self._handover(tenant, peer, engine),
-                fence=fence,
-                obs=self.obs,
-            )
+        migration = self._data_plane(
+            spec, tenant, peer, throttle, fence, token, chunks
+        )
         self.active_migrations[tenant_id] = migration
         migration_proc = self.env.process(migration.run())
         renew_proc = None
@@ -463,60 +429,21 @@ class SlackerNode:
             renew_proc = self.env.process(
                 self._lease_renew_loop(tenant_id, token, migration)
             )
-
         controller = None
-        if setpoint is not None:
-            series_list = self.latency_series()
-            if not series_list:
-                # No workload telemetry attached: assume zero observed
-                # latency, so the controller ramps to full speed (an
-                # unmonitored tenant cannot report interference).
-                series_list = [Series(f"{self.name}:no-signal")]
-            windows = [
-                LatencyWindow(
-                    series_list, window=self.config.window, initial_value=0.0
-                )
-            ]
-            if self.config.throttle_both_ends and peer.latency_series():
-                windows.append(
-                    LatencyWindow(peer.latency_series(), window=self.config.window)
-                )
-            pid = None
-            if self.config.controller == "adaptive":
-                pid = AdaptivePidController(
-                    self.config.gains,
-                    setpoint=setpoint * 1000.0,  # controller works in ms
-                    reference_gain=self.config.adaptive_reference_gain,
-                )
-            controller = DynamicThrottleController(
-                self.env,
-                throttle,
-                windows,
-                ControllerConfig(
-                    setpoint=setpoint,
-                    max_rate=max_rate or self.config.max_migration_rate,
-                    gains=self.config.gains,
-                    window=self.config.window,
-                    min_output_pct=self.config.min_output_pct,
-                    combine="max" if len(windows) > 1 else "mean",
-                ),
-                controller=pid,
-                trace=self.trace,
-                name=f"{self.name}:mig-{tenant_id}",
-                obs=self.obs,
-            )
+        if spec.setpoint is not None:
+            controller = self._throttle_controller(spec, peer, throttle, tenant_id)
             self.env.process(controller.run(until=migration_proc))
 
         try:
             result = yield migration_proc
-            if chunks:
+            if fluid:
                 # Single-homed again: the handover installed the target
                 # engine; the per-chunk directory window closes.
                 self.frontend.end_chunked(tenant_id)
         except MigrationAborted:
             # The migration rolled the engines back; restore the
             # control-plane view: the tenant is plain ACTIVE here.
-            if chunks:
+            if fluid:
                 if tenant.engine is migration.router:
                     tenant.engine = source_engine
                 self.frontend.end_chunked(tenant_id)
@@ -526,7 +453,8 @@ class SlackerNode:
             raise
         finally:
             self.active_migrations.pop(tenant_id, None)
-            throttle.stop()
+            if throttle is not None:
+                throttle.stop()
             if controller is not None:
                 controller.stop()
             if renew_proc is not None and renew_proc.is_alive:
@@ -553,6 +481,105 @@ class SlackerNode:
         self.stats.migrations_out += 1
         self.stats.completed.append(result)
         return result
+
+    def _data_plane(self, spec, tenant, peer, throttle, fence, token, chunks):
+        """Build the migration ``spec`` names; each hands over through
+        :meth:`_handover`.  Fluid also installs its dual-resident router
+        as the tenant's engine and opens the per-chunk directory."""
+        env = self.env
+        source = tenant.engine
+        handover = lambda engine: self._handover(tenant, peer, engine)
+        if spec.kind == "on-demand":
+            return OnDemandMigration(
+                env, source, peer.server, push_throttle=throttle, on_switch=handover
+            )
+        if spec.kind in ("stop-and-copy", "dump-reimport"):
+            cls = (
+                StopAndCopyMigration
+                if spec.kind == "stop-and-copy"
+                else DumpReimportMigration
+            )
+            return cls(
+                env,
+                source,
+                peer.server,
+                throttle=throttle,
+                chunk_bytes=self.config.chunk_bytes,
+                on_handover=handover,
+            )
+        if spec.kind == "fluid":
+            migration = FluidMigration(
+                env,
+                source,
+                peer.server,
+                throttle,
+                num_chunks=chunks,
+                chunk_bytes=self.config.chunk_bytes,
+                on_handover=handover,
+                fence=fence,
+                token=token,
+                obs=self.obs,
+            )
+            migration.on_chunk_flip = self._chunk_flip_notifier(
+                migration, tenant.tenant_id, peer.name, token
+            )
+            self.last_fluid_migration = migration
+            # Dual-resident window opens: requests route per chunk.
+            tenant.engine = migration.router
+            self.frontend.begin_chunked(
+                tenant.tenant_id, migration.num_chunks, self.name
+            )
+            return migration
+        return LiveMigration(
+            env,
+            source,
+            peer.server,
+            throttle,
+            chunk_bytes=self.config.chunk_bytes,
+            on_handover=handover,
+            fence=fence,
+            obs=self.obs,
+        )
+
+    def _throttle_controller(self, spec, peer, throttle, tenant_id):
+        """The PID loop steering ``throttle`` toward ``spec.setpoint``."""
+        series_list = self.latency_series()
+        if not series_list:
+            # No workload telemetry attached: assume zero observed
+            # latency, so the controller ramps to full speed (an
+            # unmonitored tenant cannot report interference).
+            series_list = [Series(f"{self.name}:no-signal")]
+        windows = [
+            LatencyWindow(series_list, window=self.config.window, initial_value=0.0)
+        ]
+        if self.config.throttle_both_ends and peer.latency_series():
+            windows.append(
+                LatencyWindow(peer.latency_series(), window=self.config.window)
+            )
+        pid = None
+        if self.config.controller == "adaptive":
+            pid = AdaptivePidController(
+                self.config.gains,
+                setpoint=spec.setpoint * 1000.0,  # controller works in ms
+                reference_gain=self.config.adaptive_reference_gain,
+            )
+        return DynamicThrottleController(
+            self.env,
+            throttle,
+            windows,
+            ControllerConfig(
+                setpoint=spec.setpoint,
+                max_rate=spec.max_rate or self.config.max_migration_rate,
+                gains=self.config.gains,
+                window=self.config.window,
+                min_output_pct=self.config.min_output_pct,
+                combine="max" if len(windows) > 1 else "mean",
+            ),
+            controller=pid,
+            trace=self.trace,
+            name=f"{self.name}:mig-{tenant_id}",
+            obs=self.obs,
+        )
 
     def _chunk_flip_notifier(
         self, migration: FluidMigration, tenant_id: int, target: str, token: int
@@ -669,51 +696,6 @@ class SlackerNode:
                 yield from self._send_tolerant(self.lease_endpoint_name, request)
         except Interrupt:
             return
-
-    def enqueue_migration(
-        self,
-        tenant_id: int,
-        target: str,
-        setpoint: Optional[float] = None,
-        fixed_rate: Optional[float] = None,
-    ) -> Event:
-        """Queue a migration; returns an event firing with its result.
-
-        Concurrent migrations from one server would each consume the
-        slack the other's controller is trying to discover, so the node
-        serializes them: one data stream at a time, strictly FIFO.
-        """
-        if (setpoint is None) == (fixed_rate is None):
-            raise ValueError("give exactly one of setpoint or fixed_rate")
-        self.registry.get(tenant_id)  # fail fast on unknown tenants
-        done = Event(self.env)
-        self._migration_queue.append((tenant_id, target, setpoint, fixed_rate, done))
-        self.stats.migrations_queued += 1
-        if not self._migration_worker_running:
-            self._migration_worker_running = True
-            self.env.process(self._migration_worker())
-        return done
-
-    @property
-    def queued_migrations(self) -> int:
-        """Migrations waiting for (or holding) the single outbound slot."""
-        return len(self._migration_queue)
-
-    def _migration_worker(self):
-        while self._migration_queue:
-            tenant_id, target, setpoint, fixed_rate, done = self._migration_queue[0]
-            try:
-                result = yield self.env.process(
-                    self.migrate_tenant(
-                        tenant_id, target, setpoint=setpoint, fixed_rate=fixed_rate
-                    )
-                )
-            except Exception as exc:  # surface the failure to the caller
-                done.fail(exc)
-            else:
-                done.succeed(result)
-            self._migration_queue.pop(0)
-        self._migration_worker_running = False
 
     # -- heartbeats and failure detection -----------------------------------------
 

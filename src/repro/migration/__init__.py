@@ -25,6 +25,7 @@ from .on_demand import (
     PartialReplicaEngine,
 )
 from .shared_live import SharedMigrationResult, SharedTenantMigration
+from .spec import MigrationSpec
 from .slack import AdditiveSlackModel, EmpiricalSlackEstimator, RateLatencySample
 from .stop_and_copy import (
     DumpReimportMigration,
@@ -55,6 +56,7 @@ __all__ = [
     "LiveMigrationResult",
     "MigrationAborted",
     "MigrationPhase",
+    "MigrationSpec",
     "OnDemandMigration",
     "OnDemandMigrationResult",
     "PartialReplicaEngine",

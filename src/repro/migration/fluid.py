@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional
+from typing import Callable, ClassVar, Generator, Optional
 
 from ..db.backup import DEFAULT_CHUNK_BYTES
 from ..db.engine import DatabaseEngine, EngineState
@@ -371,6 +371,7 @@ class FluidRouter:
 class FluidMigrationResult:
     """Outcome of one fluid migration."""
 
+    method: ClassVar[str] = "fluid"
     tenant: str
     started_at: float
     finished_at: float

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Generator, Optional
+from typing import Callable, ClassVar, Generator, Optional
 
 from ..db.backup import DEFAULT_CHUNK_BYTES, HotBackup
 from ..db.engine import DatabaseEngine, EngineState, FreezeMode
@@ -43,6 +43,7 @@ from ..simulation import Container, Environment, Interrupt, Process, Store
 from .throttle import Throttle
 
 __all__ = [
+    "AbortBeforeCommit",
     "MigrationAborted",
     "MigrationPhase",
     "DeltaRound",
@@ -59,6 +60,35 @@ class MigrationAborted(Exception):
     def __init__(self, reason: str = ""):
         super().__init__(reason)
         self.reason = reason
+
+
+class AbortBeforeCommit:
+    """``try_abort`` for the unfenced baselines (stop-and-copy, on-demand).
+
+    An accepted abort interrupts the run process, which rolls back and
+    raises :class:`MigrationAborted`.  Once the run sets ``committed``
+    at its point of no return, aborts are refused.  Hosts provide
+    ``env`` and set ``_process`` when their run starts.
+    """
+
+    committed = False
+    _abort_reason: Optional[str] = None
+    _process: Optional[Process] = None
+
+    def try_abort(self, reason: str = "cancelled") -> bool:
+        """Request an abort; returns whether it was accepted."""
+        if self.committed:
+            return False
+        if self._abort_reason is None:
+            self._abort_reason = reason
+        proc = self._process
+        if proc is not None and proc.is_alive and proc is not self.env.active_process:
+            proc.interrupt(reason)
+        return True
+
+    def _check_abort(self) -> None:
+        if self._abort_reason is not None:
+            raise MigrationAborted(self._abort_reason)
 
 
 class MigrationPhase(enum.Enum):
@@ -116,6 +146,7 @@ class DeltaRound:
 class LiveMigrationResult:
     """Outcome of one live migration."""
 
+    method: ClassVar[str] = "live"
     tenant: str
     started_at: float
     finished_at: float

@@ -20,18 +20,22 @@ This module implements that baseline so the claim can be measured:
 3. **Background pusher** — the source streams not-yet-pulled pages in
    the background through a throttle.  Slowing this throttle keeps the
    tenant in the painful cold phase longer — the paper's point.
+
+An abort is accepted until the ownership switch (the point of no
+return): the source never stopped serving, so nothing is undone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import ClassVar, Generator, Optional
 
 from ..db.engine import DatabaseEngine
 from ..db.transactions import Transaction
 from ..resources.server import Server
 from ..resources.units import MB, PAGE_SIZE
-from ..simulation import Environment
+from ..simulation import Environment, Interrupt
+from .live import AbortBeforeCommit, MigrationAborted
 from .throttle import Throttle
 
 __all__ = ["OnDemandMigrationResult", "PartialReplicaEngine", "OnDemandMigration"]
@@ -94,6 +98,7 @@ class PartialReplicaEngine(DatabaseEngine):
 class OnDemandMigrationResult:
     """Outcome of one on-demand migration."""
 
+    method: ClassVar[str] = "on-demand"
     tenant: str
     started_at: float
     #: When ownership switched to the target (end of wireframe).
@@ -113,8 +118,22 @@ class OnDemandMigrationResult:
         """Time until the target became authoritative."""
         return self.switched_at - self.started_at
 
+    @property
+    def downtime(self) -> float:
+        """The blackout: the wireframe transfer before the switch."""
+        return self.switch_latency
 
-class OnDemandMigration:
+    @property
+    def total_bytes(self) -> int:
+        """Pages moved by pull or push (the wireframe not counted)."""
+        return (self.remote_fetches + self.pushed_pages) * PAGE_SIZE
+
+    @property
+    def average_rate(self) -> float:
+        return self.total_bytes / self.duration if self.duration > 0 else 0.0
+
+
+class OnDemandMigration(AbortBeforeCommit):
     """Wireframe → immediate switch → pulls + throttled background push."""
 
     def __init__(
@@ -175,18 +194,24 @@ class OnDemandMigration:
 
     def run(self) -> Generator:
         """Process: run the migration; returns the result record."""
+        self._process = self.env.active_process
         started_at = self.env.now
+        self._check_abort()
 
         # 1. Wireframe: small, fast metadata transfer.
-        yield from self.source.server.disk.read(
-            WIREFRAME_BYTES, sequential=True, stream=f"{self.source.name}:wire"
-        )
-        yield from self.source.server.nic_out.transfer(WIREFRAME_BYTES)
-        yield from self.target_server.disk.write(
-            WIREFRAME_BYTES, sequential=True, stream=f"{self.source.name}:wire"
-        )
+        try:
+            yield from self.source.server.disk.read(
+                WIREFRAME_BYTES, sequential=True, stream=f"{self.source.name}:wire"
+            )
+            yield from self.source.server.nic_out.transfer(WIREFRAME_BYTES)
+            yield from self.target_server.disk.write(
+                WIREFRAME_BYTES, sequential=True, stream=f"{self.source.name}:wire"
+            )
+        except Interrupt:
+            raise MigrationAborted(self._abort_reason) from None
 
         # 2. Immediate ownership switch: the cold target is authoritative.
+        self.committed = True
         self.target = self._make_target()
         switched_at = self.env.now
         if self.on_switch is not None:

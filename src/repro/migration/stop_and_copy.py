@@ -11,18 +11,23 @@ size (which is why the paper abandons them for live migration):
 * **dump-and-reimport** — the naive ``mysqldump`` pipeline: export all
   data as SQL, ship it, re-execute it on the target.  "This approach is
   very slow ... largely due to the overhead of reimporting the data".
+
+Either can be aborted until its copy is done (the source thaws and
+keeps the tenant); the handover after the copy is the point of no
+return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
 from ..db.backup import DEFAULT_CHUNK_BYTES
 from ..db.engine import DatabaseEngine, FreezeMode
 from ..resources.server import Server
 from ..resources.units import PAGE_SIZE
-from ..simulation import Environment
+from ..simulation import Environment, Interrupt
+from .live import AbortBeforeCommit, MigrationAborted
 from .throttle import Throttle
 
 __all__ = ["StopAndCopyResult", "StopAndCopyMigration", "DumpReimportMigration"]
@@ -32,6 +37,7 @@ __all__ = ["StopAndCopyResult", "StopAndCopyMigration", "DumpReimportMigration"]
 class StopAndCopyResult:
     """Outcome of a stop-and-copy migration."""
 
+    #: "file-copy" or "dump-reimport".
     method: str
     started_at: float
     finished_at: float
@@ -47,8 +53,17 @@ class StopAndCopyResult:
         """The tenant is down for the entire copy: downtime == duration."""
         return self.duration
 
+    @property
+    def total_bytes(self) -> int:
+        return self.bytes_copied
 
-class StopAndCopyMigration:
+    @property
+    def average_rate(self) -> float:
+        """Mean copy rate, bytes/second."""
+        return self.bytes_copied / self.duration if self.duration > 0 else 0.0
+
+
+class StopAndCopyMigration(AbortBeforeCommit):
     """File-level stop-and-copy of one tenant to a target server."""
 
     method = "file-copy"
@@ -60,6 +75,7 @@ class StopAndCopyMigration:
         target_server: Server,
         throttle: Optional[Throttle] = None,
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
+        on_handover: Optional[Callable[[DatabaseEngine], None]] = None,
     ):
         if chunk_bytes <= 0:
             raise ValueError(f"chunk_bytes must be positive, got {chunk_bytes}")
@@ -68,6 +84,7 @@ class StopAndCopyMigration:
         self.target_server = target_server
         self.throttle = throttle
         self.chunk_bytes = chunk_bytes
+        self.on_handover = on_handover
 
     def _make_target(self) -> DatabaseEngine:
         return DatabaseEngine(
@@ -90,23 +107,32 @@ class StopAndCopyMigration:
 
     def run(self) -> Generator:
         """Process: perform the migration; returns a result record."""
+        self._process = self.env.active_process
         started_at = self.env.now
+        self._check_abort()
         self.source.freeze(FreezeMode.ALL)
-        yield self.source.write_quiesced()
-
         total = self.source.data_bytes
         copied = 0
         stream = f"{self.source.name}:stop-and-copy"
-        while copied < total:
-            size = min(self.chunk_bytes, total - copied)
-            yield from self._ship_chunk(size, stream)
-            copied += size
+        try:
+            yield self.source.write_quiesced()
+            while copied < total:
+                size = min(self.chunk_bytes, total - copied)
+                yield from self._ship_chunk(size, stream)
+                copied += size
+        except Interrupt:
+            # The partial copy is discarded; the source keeps the tenant.
+            self.source.thaw()
+            raise MigrationAborted(self._abort_reason) from None
 
+        self.committed = True
         target = self._make_target()
         # The copied files are already current: no writes ran since the
         # freeze, so the target starts at the source's exact LSN.
         target.replicated_lsn = self.source.binlog.head_lsn
         target.data_version = self.source.data_version
+        if self.on_handover is not None:
+            self.on_handover(target)
         self.source.stop(successor=target)
         return StopAndCopyResult(
             method=self.method,

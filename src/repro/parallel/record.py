@@ -23,11 +23,7 @@ from typing import Optional
 
 from ..experiments.harness import ExperimentOutcome, MigrationSpec, PooledLatencyStats
 from ..core.config import ExperimentConfig
-from ..migration.fluid import FluidMigrationResult
-from ..migration.on_demand import OnDemandMigrationResult
-from ..migration.stop_and_copy import StopAndCopyResult
 from ..obs import RunReport
-from ..resources.units import PAGE_SIZE
 from ..simulation import Series
 
 __all__ = ["MigrationRecord", "TenantRecord", "PointRecord"]
@@ -37,7 +33,8 @@ __all__ = ["MigrationRecord", "TenantRecord", "PointRecord"]
 class MigrationRecord:
     """Scalar summary of a migration result, detached from the engines."""
 
-    #: "live", "stop-and-copy", "dump-reimport", "fluid", or "on-demand".
+    #: The result's ``method``: "live", "fluid", "on-demand",
+    #: "file-copy" (stop-and-copy), or "dump-reimport".
     kind: str
     #: End-to-end migration time, seconds.
     duration: float
@@ -58,47 +55,22 @@ class MigrationRecord:
 
     @classmethod
     def from_result(cls, result) -> "MigrationRecord":
-        """Summarize any migration-result flavor into plain scalars."""
-        if isinstance(result, StopAndCopyResult):
-            duration = result.duration
-            return cls(
-                kind=result.method,
-                duration=duration,
-                downtime=result.downtime,
-                total_bytes=result.bytes_copied,
-                average_rate=result.bytes_copied / max(duration, 1e-9),
-            )
-        if isinstance(result, FluidMigrationResult):
-            return cls(
-                kind="fluid",
-                duration=result.duration,
-                downtime=result.downtime,
-                total_bytes=result.total_bytes,
-                average_rate=result.average_rate,
-                num_chunks=result.num_chunks,
-                total_freeze_time=result.total_freeze_time,
-            )
-        if isinstance(result, OnDemandMigrationResult):
-            duration = result.duration
-            total_bytes = (
-                result.remote_fetches + result.pushed_pages
-            ) * PAGE_SIZE
-            return cls(
-                kind="on-demand",
-                duration=duration,
-                downtime=result.switch_latency,
-                total_bytes=total_bytes,
-                average_rate=total_bytes / max(duration, 1e-9),
-                remote_fetches=result.remote_fetches,
-            )
+        """Summarize any migration-result flavor into plain scalars.
+
+        Every result exposes ``method`` and the four summary fields;
+        the method-specific details default to zero where absent.
+        """
         return cls(
-            kind="live",
+            kind=result.method,
             duration=result.duration,
             downtime=result.downtime,
             total_bytes=result.total_bytes,
             average_rate=result.average_rate,
-            snapshot_bytes=result.snapshot_bytes,
-            delta_rounds=len(result.delta_rounds),
+            snapshot_bytes=getattr(result, "snapshot_bytes", 0),
+            delta_rounds=len(getattr(result, "delta_rounds", ())),
+            num_chunks=getattr(result, "num_chunks", 0),
+            total_freeze_time=getattr(result, "total_freeze_time", 0.0),
+            remote_fetches=getattr(result, "remote_fetches", 0),
         )
 
 

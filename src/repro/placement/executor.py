@@ -30,6 +30,7 @@ from typing import Iterable, Optional, Sequence
 from ..control.tuning import budget_setpoint
 from ..middleware.cluster import SlackerCluster
 from ..migration.live import MigrationAborted
+from ..migration.spec import MigrationSpec
 from .budget import BudgetReservation, SlackBudgetLedger
 from .decisions import PlacementDecision, PlacementStats
 from .monitor import NodeLoad
@@ -311,14 +312,14 @@ class WaveExecutor:
         effective = budget_setpoint(
             base, reservation.share / self.ledger.capacity
         )
+        spec = (
+            MigrationSpec.fluid(setpoint=effective, chunks=proposal.chunks)
+            if proposal.chunks
+            else MigrationSpec.dynamic(effective)
+        )
         try:
             result = yield env.process(
-                source.migrate_tenant(
-                    proposal.tenant_id,
-                    proposal.target,
-                    setpoint=effective,
-                    chunks=proposal.chunks or None,
-                )
+                source.migrate_tenant(proposal.tenant_id, proposal.target, spec)
             )
         except MigrationAborted:
             decision.outcome = "aborted"

@@ -15,6 +15,7 @@ from repro.middleware.protocol import Heartbeat
 from repro.middleware.tenant import TenantStatus
 from repro.middleware.transport import DeliveryError, MessageBus, RetryPolicy
 from repro.migration.live import MigrationAborted
+from repro.migration.spec import MigrationSpec
 from repro.resources.units import MB, mb_per_sec
 from repro.simulation import Environment, RandomStreams
 
@@ -225,7 +226,9 @@ def _cluster(seed=11, policy=True):
 
 def _drive_migration(env, node, tenant_id, target, rate, outcomes):
     try:
-        yield env.process(node.migrate_tenant(tenant_id, target, fixed_rate=rate))
+        yield env.process(
+            node.migrate_tenant(tenant_id, target, MigrationSpec.fixed(rate))
+        )
     except MigrationAborted as exc:
         outcomes.append(("aborted", str(exc)))
     else:

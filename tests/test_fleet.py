@@ -20,6 +20,7 @@ import pytest
 from repro.control import budget_setpoint
 from repro.core import EVALUATION, Slacker
 from repro.experiments import scaled_config
+from repro.experiments import fleet_sweep
 from repro.experiments.fleet_sweep import FleetRecord, fleet_point
 from repro.experiments.harness import MigrationSpec
 from repro.faults import FaultInjector, FaultPlan, ScheduledFault
@@ -444,6 +445,23 @@ class TestFleetPoint:
             watched.p99_latency
         )
         assert "fleet.time_to_drain_seconds:node-0" in gauges
+
+
+class TestFleetSweepCli:
+    ARGS = ["--nodes", "4", "--tenants", "8", "--run-limit", "60"]
+
+    def test_check_run_writes_nothing_unasked(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert fleet_sweep.main([*self.ARGS, "--check"]) == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_out_writes_one_report_per_scenario(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert fleet_sweep.main([*self.ARGS, "--report-out", "obs"]) == 0
+        assert sorted(p.name for p in (tmp_path / "obs").iterdir()) == [
+            "drain.report.json",
+            "rebalance.report.json",
+        ]
 
 
 class TestAdminDrain:

@@ -17,6 +17,7 @@ from repro.middleware.protocol import (
 from repro.middleware.transport import RetryPolicy
 from repro.migration.lease import LeaseManager
 from repro.migration.live import MigrationAborted
+from repro.migration.spec import MigrationSpec
 from repro.resources.units import MB, mb_per_sec
 from repro.simulation import Environment, RandomStreams
 
@@ -168,7 +169,9 @@ class TestCheckFence:
 
 def _drive_migration(env, node, tenant_id, target, rate, outcomes):
     try:
-        yield env.process(node.migrate_tenant(tenant_id, target, fixed_rate=rate))
+        yield env.process(
+            node.migrate_tenant(tenant_id, target, MigrationSpec.fixed(rate))
+        )
     except MigrationAborted as exc:
         outcomes.append(("aborted", str(exc)))
     else:

@@ -689,22 +689,6 @@ class TestSLK106PlacementLaunchPath:
         assert "migrate_tenant" in findings[0].message
         assert "budget" in findings[0].message
 
-    def test_enqueue_migration_is_flagged(self, tmp_path):
-        findings = project_findings(
-            tmp_path,
-            {
-                "repro/__init__.py": "",
-                "repro/placement/__init__.py": "",
-                "repro/placement/policy.py": """
-                def queue_all(node, proposals):
-                    for proposal in proposals:
-                        node.enqueue_migration(proposal.tenant_id, proposal.target)
-                """,
-            },
-            rule="SLK106",
-        )
-        assert len(findings) == 1
-
     def test_executor_is_on_the_allow_list(self, tmp_path):
         findings = project_findings(
             tmp_path,
@@ -712,11 +696,9 @@ class TestSLK106PlacementLaunchPath:
                 "repro/__init__.py": "",
                 "repro/placement/__init__.py": "",
                 "repro/placement/executor.py": """
-                def launch(env, node, proposal, setpoint):
+                def launch(env, node, proposal, spec):
                     return env.process(
-                        node.migrate_tenant(
-                            proposal.tenant_id, proposal.target, setpoint=setpoint
-                        )
+                        node.migrate_tenant(proposal.tenant_id, proposal.target, spec)
                     )
                 """,
             },

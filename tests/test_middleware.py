@@ -21,6 +21,7 @@ from repro.middleware.tenant import (
     tenant_port,
 )
 from repro.middleware.transport import MessageBus
+from repro.migration.spec import MigrationSpec
 from repro.resources.units import MB
 from repro.simulation import Environment, RandomStreams
 
@@ -287,7 +288,7 @@ class TestCluster:
 
         def migrate(env):
             result = yield env.process(
-                node_a.migrate_tenant(3, "b", fixed_rate=8 * MB)
+                node_a.migrate_tenant(3, "b", MigrationSpec.fixed(8 * MB))
             )
             return result
 
@@ -305,11 +306,15 @@ class TestCluster:
         node_a = cluster.node("a")
         node_a.create_tenant(3, data_bytes=4 * MB)
         with pytest.raises(ValueError):
-            env.run(until=env.process(node_a.migrate_tenant(3, "b")))
+            env.run(
+                until=env.process(
+                    node_a.migrate_tenant(3, "b", MigrationSpec.none())
+                )
+            )
         with pytest.raises(KeyError):
             env.run(
                 until=env.process(
-                    node_a.migrate_tenant(3, "nope", fixed_rate=1.0)
+                    node_a.migrate_tenant(3, "nope", MigrationSpec.fixed(1.0))
                 )
             )
 

@@ -1,11 +1,9 @@
-"""Tests for the node migration queue and stream framing."""
+"""Tests for control-plane stream framing."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EVALUATION, Slacker
-from repro.experiments import scaled_config
 from repro.middleware.framing import MessageStreamDecoder, frame_messages
 from repro.middleware.protocol import (
     DeleteTenantRequest,
@@ -14,60 +12,6 @@ from repro.middleware.protocol import (
     ProtocolError,
     TenantLocationUpdate,
 )
-from repro.resources.units import MB, mb_per_sec
-
-TINY = scaled_config(EVALUATION, 32 * MB / EVALUATION.tenant.data_bytes)
-
-
-class TestMigrationQueue:
-    def make(self, tenants=3):
-        slacker = Slacker(TINY, nodes=["a", "b"])
-        for tid in range(1, tenants + 1):
-            slacker.add_tenant(tid, node="a", workload=(tid == 1))
-        return slacker
-
-    def test_validation(self):
-        slacker = self.make()
-        node = slacker.cluster.node("a")
-        with pytest.raises(ValueError):
-            node.enqueue_migration(1, "b")  # neither setpoint nor rate
-        with pytest.raises(KeyError):
-            node.enqueue_migration(99, "b", fixed_rate=1.0)
-
-    def test_migrations_serialize_fifo(self):
-        slacker = self.make(tenants=3)
-        node = slacker.cluster.node("a")
-        events = [
-            node.enqueue_migration(tid, "b", fixed_rate=mb_per_sec(8))
-            for tid in (1, 2, 3)
-        ]
-        assert node.queued_migrations == 3
-        results = [slacker.env.run(until=event) for event in events]
-        # strictly one at a time: windows must not overlap
-        spans = sorted((r.started_at, r.finished_at) for r in results)
-        for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
-            assert e1 <= s2 + 1e-9
-        # all three landed
-        for tid in (1, 2, 3):
-            assert slacker.locate(tid) == "b"
-        assert node.stats.migrations_queued == 3
-        assert node.queued_migrations == 0
-
-    def test_queue_failure_propagates(self):
-        slacker = self.make(tenants=2)
-        node = slacker.cluster.node("a")
-        first = node.enqueue_migration(1, "b", fixed_rate=mb_per_sec(8))
-        # delete tenant 2 while queued: its migration must fail, not hang
-        second = node.enqueue_migration(2, "b", fixed_rate=mb_per_sec(8))
-        node.delete_tenant(2)
-        slacker.env.run(until=first)
-        with pytest.raises(KeyError):
-            slacker.env.run(until=second)
-        # the worker survives for later work
-        slacker.add_tenant(4, node="a")
-        third = node.enqueue_migration(4, "b", fixed_rate=mb_per_sec(8))
-        result = slacker.env.run(until=third)
-        assert result.downtime < 1.0
 
 
 SAMPLE_MESSAGES = [
