@@ -8,6 +8,7 @@ bit-identity guarantee, and the ``python -m repro.obs summarize`` CLI.
 from __future__ import annotations
 
 import cProfile
+import gc
 import json
 import os
 
@@ -349,7 +350,13 @@ def _obs_calls(run):
 
     Returns ``(result, obs_calls, total_calls)``, where ``obs_calls``
     maps each called obs function (``file:line(name)``) to its count.
+
+    Garbage from earlier runs is collected first: an observed run that
+    ends leaves its resource sampler suspended in a reference cycle,
+    and closing that generator when the collector reaches it would
+    otherwise count as an obs call of whichever run is profiled then.
     """
+    gc.collect()
     profiler = cProfile.Profile()
     profiler.enable()
     try:
